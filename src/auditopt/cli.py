@@ -51,9 +51,12 @@ def _write_csv(path: str, header: str, rows, config: dict) -> None:
 
 def _write_json(path: str, payload: dict, config: dict) -> None:
     doc = {"version": __version__, "config": config, **payload}
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False)
+    except ValueError:  # finite inputs so large that a result overflowed
+        raise ConfigError("inputs out of range: a result is not finite")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -112,6 +115,19 @@ def _test(config: dict) -> TestFunction:
             raise ConfigError("test: constant requires p")
         return ConstantTest(p=float(config["p"]))
     raise ConfigError(f"test: unknown or missing test type {kind!r}")
+
+
+def _audit(config: dict) -> Audit:
+    """The finite-step audit in the JSON file named by the audit key."""
+    if "audit" not in config:
+        raise ConfigError("audit: missing audit JSON file")
+    try:
+        with open(config["audit"]) as fh:
+            return Audit.from_json(json.load(fh))
+    except KeyError as exc:
+        raise ConfigError(f"audit: missing key {exc}")
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"audit: {exc}")
 
 
 def _parse_range(spec: str, name: str) -> list:
@@ -206,13 +222,7 @@ def cmd_design(args) -> int:
 def cmd_approx(args) -> int:
     config = _resolve(args)
     params = _params(config)
-    if "audit" not in config:
-        raise ConfigError("audit: missing audit JSON file")
-    try:
-        with open(config["audit"]) as fh:
-            audit = Audit.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"audit: {exc}")
+    audit = _audit(config)
     ks = [int(k) for k in str(config.get("k_list", "0,1,2,3")).split(",")]
     study = approximation_study(audit, params, _grid(config, params), ks)
     rows = ((r.k, r.measured_error, r.bound, r.maximizer) for r in study.rows)
@@ -224,11 +234,7 @@ def cmd_simulate(args) -> int:
     config = _resolve(args)
     params = _params(config)
     schedule = _parse_schedule(str(config.get("schedule", "")))
-    if "audit" in config:
-        with open(config["audit"]) as fh:
-            audit = Audit.from_json(json.load(fh))
-    else:
-        audit = Audit(prefix=(), tail=_test(config))
+    audit = _audit(config) if "audit" in config else Audit(prefix=(), tail=_test(config))
     result = simulate(
         schedule,
         audit,

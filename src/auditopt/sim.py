@@ -56,6 +56,11 @@ class SimResult:
         }
 
 
+# Episodes per random substream: chunk k draws from the substream keyed by
+# (seed, k), so a result depends only on the seed and the episode count.
+CHUNK = 8192
+
+
 def simulate(
     schedule: Schedule,
     audit: Audit,
@@ -66,10 +71,23 @@ def simulate(
 ) -> SimResult:
     """Seeded Monte Carlo of the repeated-audit episode process.
 
-    Each episode draws from an independent substream keyed by (seed, episode
-    index), so results are deterministic and independent of execution order.
+    Episodes run in chunks of CHUNK. Chunk k draws from its own substream,
+    keyed by (seed, k) through SeedSequence spawn keys, so for a fixed seed
+    the result is bit-identical whatever order the chunks run in, and the
+    first chunks do not depend on how many follow.
+
+    The schedule is open-loop, so each step's discount, pass probability and
+    utility so far are computed once, when an episode first reaches that
+    step, and shared by every episode. Within a
+    chunk, each step draws one uniform per episode still running and retires
+    those that pass. The cost of step t is charged before that step's test.
     Episodes are truncated once the remaining discounted revenue
-    alpha^t * R/(1-alpha) falls below horizon_eps (default 1e-9 * R).
+    alpha^t * R/(1-alpha) falls below horizon_eps (default 1e-9 * R); a
+    truncated episode has paid the costs of every step it played.
+
+    Each chunk is reduced to its count, mean and sum of squared deviations,
+    and the chunks are merged in order (Chan, Golub and LeVeque), so memory
+    is bounded by CHUNK, not by episodes.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -79,35 +97,54 @@ def simulate(
         raise ValueError("horizon_eps must be positive")
 
     c, R, a = params.c, params.R, params.alpha
-    utilities = np.empty(episodes)
+    # per step, filled in only as deep as some episode plays: discount
+    # alpha^t, pass probability, and the utility so far once step t's cost
+    # is paid
+    discs: list[float] = []
+    probs: list[float] = []
+    paid: list[float] = []
     histogram: dict[int, int] = {}
     truncated = 0
-
-    for ep in range(episodes):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ep,)))
-        total = 0.0
-        x_prev = 0.0
-        disc = 1.0
+    n_all, mean_all, m2_all = 0, 0.0, 0.0
+    for k, first in enumerate(range(0, episodes, CHUNK)):
+        n = min(CHUNK, episodes - first)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        utilities = np.empty(n)
+        live = np.arange(n)  # episodes of this chunk that have not passed yet
         t = 0
-        while True:
-            if disc * R / (1.0 - a) < horizon_eps:
-                truncated += 1
-                break
-            x_t = schedule.level_at(t)
-            total -= disc * c * (x_t - x_prev)
-            p = float(audit.test_at(t)(x_t))
-            if rng.random() < p:
-                total += disc * R
-                histogram[t + 1] = histogram.get(t + 1, 0) + 1
-                break
-            x_prev = x_t
-            disc *= a
+        while live.size:
+            if t == len(probs):
+                disc = discs[-1] * a if discs else 1.0
+                if disc * R / (1.0 - a) < horizon_eps:
+                    break
+                x_t = schedule.level_at(t)
+                x_prev = schedule.level_at(t - 1) if t else 0.0
+                discs.append(disc)
+                paid.append((paid[-1] if paid else 0.0) - disc * c * (x_t - x_prev))
+                probs.append(float(audit.test_at(t)(x_t)))
+            passed = rng.random(live.size) < probs[t]
+            n_passed = int(np.count_nonzero(passed))
+            if n_passed:
+                histogram[t + 1] = histogram.get(t + 1, 0) + n_passed
+                utilities[live[passed]] = paid[t] + discs[t] * R
+                live = live[~passed]
             t += 1
-        utilities[ep] = total
+        # the rest reached the horizon, having paid through step t - 1
+        truncated += live.size
+        utilities[live] = paid[t - 1] if t else 0.0
 
-    std_error = float(np.std(utilities, ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
+        # merge this chunk's count, mean and M2 into the running totals
+        mean = float(utilities.mean())
+        m2 = float(np.sum((utilities - mean) ** 2))
+        n_new = n_all + n
+        delta = mean - mean_all
+        mean_all += delta * (n / n_new)
+        m2_all += m2 + delta * delta * (n_all * n / n_new)
+        n_all = n_new
+
+    std_error = math.sqrt(m2_all / (episodes - 1) / episodes) if episodes > 1 else 0.0
     return SimResult(
-        mean_utility=float(np.mean(utilities)),
+        mean_utility=mean_all,
         std_error=std_error,
         episodes=episodes,
         pass_time_histogram=histogram,

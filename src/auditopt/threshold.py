@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import golden_max, optimal_strategy, waiver_cost
-from .types import GridSpec, TestFunction, ThresholdTest, VendorParams
+from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, _require_finite
 
 _EXP_OVERFLOW = 700.0  # exp argument beyond this maps to the +inf sentinel
 
@@ -26,6 +26,7 @@ class LiabilityModel:
     s0: float = 1.5
 
     def __post_init__(self):
+        _require_finite(gamma=self.gamma, mu0=self.mu0, s0=self.s0)
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.mu0 > 0 or not self.s0 > 0:
@@ -137,6 +138,7 @@ def coverage_grid(
     sigmas = list(sigma_range)
     if not deltas or not sigmas:
         raise ValueError("delta and sigma ranges must be non-empty")
+    LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before any cell is solved
     cells = []
     for d in deltas:
         for s in sigmas:

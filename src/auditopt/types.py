@@ -9,6 +9,12 @@ import numpy as np
 from scipy.special import ndtr
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class VendorParams:
     """Economic primitives: revenue R, marginal investment cost c, discount alpha."""
@@ -18,6 +24,7 @@ class VendorParams:
     alpha: float
 
     def __post_init__(self):
+        _require_finite(R=self.R, c=self.c, alpha=self.alpha)
         if not self.R > 0:
             raise ValueError(f"R must be positive, got {self.R}")
         if not self.c > 0:
@@ -63,6 +70,7 @@ class ThresholdTest(TestFunction):
     sigma: float
 
     def __post_init__(self):
+        _require_finite(delta=self.delta, sigma=self.sigma)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -80,6 +88,7 @@ class LinearTest(TestFunction):
     b: float
 
     def __post_init__(self):
+        _require_finite(b=self.b)
         if self.b < 0:
             raise ValueError(f"entrance value b must be >= 0, got {self.b}")
 
@@ -115,6 +124,7 @@ class GridSpec:
     step: float = 1e-3
 
     def __post_init__(self):
+        _require_finite(x_max=self.x_max, step=self.step)
         if not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.x_max > 0:
@@ -142,6 +152,7 @@ class Schedule:
             raise ValueError("schedule needs at least one level")
         prev = 0.0
         for lv in self.levels:
+            _require_finite(level=lv)
             if lv < 0:
                 raise ValueError("levels must be non-negative")
             if lv < prev - 1e-15:

@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from auditopt.cli import main
 
 
@@ -267,3 +270,84 @@ def test_simulate_json_and_bad_schedule(tmp_path):
 def test_missing_out_is_config_error():
     rc = main(["design", "--mode", "static", "--R", "4", "--c", "1", "--alpha", "0.5"])
     assert rc == 2
+
+
+SIM_BASE = ["simulate", "--R", "4", "--c", "1", "--alpha", "0.5", "--schedule", "0:1.0"]
+
+
+def test_simulate_audit_missing_file_is_config_error(tmp_path, capsys):
+    rc = main(
+        SIM_BASE + ["--audit", str(tmp_path / "absent.json"), "--out", str(tmp_path / "s.json")]
+    )
+    assert rc == 2
+    assert "error: audit:" in capsys.readouterr().err
+
+
+def test_simulate_audit_without_tail_is_config_error(tmp_path, capsys):
+    audit = tmp_path / "audit.json"
+    audit.write_text(json.dumps({"prefix": [{"type": "linear", "b": 1.0}]}))
+    rc = main(SIM_BASE + ["--audit", str(audit), "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert "error: audit:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--R", "inf", "--test", "constant", "--p", "1"],
+        ["--c", "nan", "--test", "constant", "--p", "1"],
+        ["--test", "threshold", "--delta", "nan", "--sigma", "1"],
+        ["--test", "threshold", "--delta", "1", "--sigma", "inf"],
+        ["--test", "linear", "--b", "inf"],
+        ["--test", "constant", "--p", "1", "--schedule", "0:1,2:nan"],
+        # finite, but the exact value overflows to -inf
+        ["--test", "constant", "--p", "0.5", "--schedule", "0:0.5,1:1e300"],
+    ],
+)
+def test_simulate_rejects_non_finite_inputs(tmp_path, flags):
+    out = tmp_path / "s.json"
+    assert main(SIM_BASE + flags + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["0.5", "1", "4"]),
+    st.sampled_from(["0", "-1", "1e300", "nan", "inf", "-inf"]),
+)
+FUZZ_ALPHAS = st.one_of(
+    st.sampled_from(["0.2", "0.5", "0.9"]), st.sampled_from(["0", "1", "nan", "inf"])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    R=FUZZ_VALUES,
+    c=FUZZ_VALUES,
+    alpha=FUZZ_ALPHAS,
+    test=st.sampled_from(
+        [
+            ["--test", "threshold", "--delta", "{0}", "--sigma", "{1}"],
+            ["--test", "linear", "--b", "{0}"],
+            ["--test", "constant", "--p", "{0}"],
+            ["--audit", "{dir}/absent.json"],
+        ]
+    ),
+    test_args=st.tuples(FUZZ_VALUES, FUZZ_VALUES),
+    levels=st.tuples(FUZZ_VALUES, FUZZ_VALUES),
+    episodes=st.integers(min_value=0, max_value=1000),
+)
+def test_simulate_exit_code_contract(tmp_path_factory, R, c, alpha, test, test_args, levels,
+                                     episodes):
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    argv = ["simulate", "--R", R, "--c", c, "--alpha", alpha]
+    argv += [a.format(*test_args, dir=out_dir) for a in test]
+    argv += ["--schedule", f"0:{levels[0]},1:{levels[1]}", "--episodes", str(episodes)]
+    argv += ["--seed", "5", "--out", str(out_dir / "s.json")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        doc = json.loads((out_dir / "s.json").read_text())
+        assert math.isfinite(doc["result"]["mean"]) and math.isfinite(doc["analytic"])

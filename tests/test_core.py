@@ -177,6 +177,21 @@ def test_schedule_validation():
     assert s.level_at(0) == 0.5 and s.level_at(7) == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_types_reject_non_finite(bad):
+    for make in (
+        lambda: VendorParams(R=bad, c=1.0, alpha=0.5),
+        lambda: VendorParams(R=4.0, c=bad, alpha=0.5),
+        lambda: ThresholdTest(delta=bad, sigma=1.0),
+        lambda: ThresholdTest(delta=1.0, sigma=bad),
+        lambda: LinearTest(b=bad),
+        lambda: GridSpec(x_max=bad, step=1e-3),
+        lambda: Schedule(levels=(0.5, bad)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 def test_test_function_json_round_trip():
     from auditopt import TestFunction
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from auditopt import (
     optimal_strategy,
     simulate,
 )
+from auditopt.sim import CHUNK
 
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
 
@@ -130,3 +134,70 @@ def test_never_quit_trail_two_step_design_point():
     audit = Audit(prefix=(LinearTest(d.b_prime),), tail=LinearTest(d.b))
     trail = never_quit_audit_trail(audit, p15, Schedule(levels=(d.x,)))
     assert all(v >= -1e-9 for v in trail)
+
+
+def test_simulate_certain_fail_truncates_every_episode():
+    levels = (0.5, 1.0, 1.5)
+    res = simulate(Schedule(levels=levels), static(ConstantTest(0.0)), P4, 3000, seed=4)
+    assert res.truncated_fraction == 1.0
+    assert res.pass_time_histogram == {}
+    # every episode pays the stepped schedule's costs and never earns; the
+    # level stops rising after step 2, so later steps cost nothing
+    cost, disc, x_prev = 0.0, 1.0, 0.0
+    for x in levels:
+        cost -= disc * P4.c * (x - x_prev)
+        disc *= P4.alpha
+        x_prev = x
+    assert res.mean_utility == cost
+    assert res.std_error == 0.0
+
+
+def test_simulate_horizon_beyond_revenue_plays_no_step():
+    eps = 1.01 * P4.R / (1.0 - P4.alpha)
+    res = simulate(
+        Schedule(levels=(1.0,)), static(ConstantTest(1.0)), P4, 100, seed=0, horizon_eps=eps
+    )
+    assert res.mean_utility == 0.0
+    assert res.truncated_fraction == 1.0
+    assert res.pass_time_histogram == {}
+
+
+@pytest.mark.parametrize("episodes", [1, CHUNK + 1])
+def test_simulate_partial_chunks(episodes):
+    sched = Schedule(levels=(1.0, 1.5))
+    audit = static(ThresholdTest(1.0, 1.0))
+    res = simulate(sched, audit, P4, episodes, seed=9)
+    assert res.episodes == episodes
+    assert sum(res.pass_time_histogram.values()) + round(
+        res.truncated_fraction * episodes
+    ) == episodes
+    if episodes == 1:
+        assert res.std_error == 0.0
+    assert math.isfinite(res.mean_utility) and math.isfinite(res.std_error)
+
+
+def test_simulate_first_chunk_is_independent_of_later_chunks():
+    sched = Schedule(levels=(0.5, 1.0))
+    audit = Audit(prefix=(LinearTest(0.2),), tail=ThresholdTest(1.5, 0.8))
+    one = simulate(sched, audit, P4, CHUNK, seed=11).pass_time_histogram
+    two = simulate(sched, audit, P4, 2 * CHUNK, seed=11).pass_time_histogram
+    assert set(one) <= set(two)
+    assert all(one[t] <= two[t] for t in one)
+
+
+def test_simulate_memory_is_bounded_by_chunk():
+    sched = Schedule(levels=(1.0,))
+    audit = static(ConstantTest(0.5))
+
+    def peak(episodes):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(sched, audit, P4, episodes, seed=3)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    simulate(sched, audit, P4, 10, seed=3)  # warm up lazy set-up
+    chunk_bytes = CHUNK * np.dtype(float).itemsize
+    assert abs(peak(16 * CHUNK) - peak(4 * CHUNK)) < chunk_bytes

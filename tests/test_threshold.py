@@ -162,3 +162,10 @@ def test_liability_model_validation():
         LiabilityModel(gamma=1.0, mu0=0.0, s0=1.5)
     with pytest.raises(ValueError):
         LiabilityModel(gamma=1.0, mu0=1.0, s0=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LiabilityModel(gamma=bad, mu0=1.0, s0=1.5)
+        with pytest.raises(ValueError):
+            LiabilityModel(gamma=1.0, mu0=bad, s0=1.5)
+        with pytest.raises(ValueError):
+            LiabilityModel(gamma=1.0, mu0=1.0, s0=bad)
