@@ -22,15 +22,7 @@ from .linear import (
 from .multistep import Audit, PreconditionError, approximation_study
 from .sim import evaluate_schedule, simulate
 from .threshold import coverage_grid
-from .types import (
-    ConstantTest,
-    GridSpec,
-    LinearTest,
-    Schedule,
-    TestFunction,
-    ThresholdTest,
-    VendorParams,
-)
+from .types import GridSpec, Schedule, TestFunction, VendorParams
 
 CONFIG_ERROR = 2
 REGIME_ERROR = 3
@@ -101,20 +93,12 @@ def _grid(config: dict, params: VendorParams) -> GridSpec:
 
 
 def _test(config: dict) -> TestFunction:
-    kind = config.get("test")
-    if kind == "threshold":
-        if "delta" not in config or "sigma" not in config:
-            raise ConfigError("test: threshold requires delta and sigma")
-        return ThresholdTest(delta=float(config["delta"]), sigma=float(config["sigma"]))
-    if kind == "linear":
-        if "b" not in config:
-            raise ConfigError("test: linear requires b")
-        return LinearTest(b=float(config["b"]))
-    if kind == "constant":
-        if "p" not in config:
-            raise ConfigError("test: constant requires p")
-        return ConstantTest(p=float(config["p"]))
-    raise ConfigError(f"test: unknown or missing test type {kind!r}")
+    try:
+        return TestFunction.from_json({**config, "type": config.get("test")})
+    except KeyError as exc:
+        raise ConfigError(f"test: {config.get('test')} requires {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"test: {exc}")
 
 
 def _audit(config: dict) -> Audit:
@@ -167,8 +151,7 @@ def _parse_schedule(spec: str) -> Schedule:
         raise ConfigError(f"schedule: {exc}")
 
 
-def cmd_g_sweep(args) -> int:
-    config = _resolve(args)
+def cmd_g_sweep(config: dict) -> int:
     params = _params(config)
     grid = _grid(config, params)
     test = _test(config)
@@ -180,16 +163,14 @@ def cmd_g_sweep(args) -> int:
     return 0
 
 
-def cmd_optimal(args) -> int:
-    config = _resolve(args)
+def cmd_optimal(config: dict) -> int:
     params = _params(config)
     sol = optimal_strategy(_test(config), params, _grid(config, params))
     _write_json(config["out"], {"solution": sol.to_json()}, config)
     return 0
 
 
-def cmd_coverage(args) -> int:
-    config = _resolve(args)
+def cmd_coverage(config: dict) -> int:
     params = _params(config)
     deltas = _parse_range(config.get("delta_range", ""), "delta_range")
     sigmas = _parse_range(config.get("sigma_range", ""), "sigma_range")
@@ -203,8 +184,7 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def cmd_design(args) -> int:
-    config = _resolve(args)
+def cmd_design(config: dict) -> int:
     params = _params(config)
     mode = config.get("mode")
     if mode == "static":
@@ -219,8 +199,7 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_approx(args) -> int:
-    config = _resolve(args)
+def cmd_approx(config: dict) -> int:
     params = _params(config)
     audit = _audit(config)
     ks = [int(k) for k in str(config.get("k_list", "0,1,2,3")).split(",")]
@@ -230,8 +209,7 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _resolve(args)
+def cmd_simulate(config: dict) -> int:
     params = _params(config)
     schedule = _parse_schedule(str(config.get("schedule", "")))
     audit = _audit(config) if "audit" in config else Audit(prefix=(), tail=_test(config))
@@ -319,7 +297,7 @@ def main(argv=None) -> int:
         config = _resolve(args)
         if "out" not in config:
             raise ConfigError("out: missing output path")
-        return args.func(args)
+        return args.func(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -23,7 +23,7 @@ def g_value(test: TestFunction, params: VendorParams, x):
     G(x) = -c*x + p(x)*R / (1 - alpha + alpha*p(x)).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if np.count_nonzero(x < 0):  # np.any costs more on the small arrays of golden_max
         raise ValueError("effort x must be >= 0")
     p = test(x)
     val = -params.c * x + p * params.R / (1.0 - params.alpha + params.alpha * p)
@@ -44,21 +44,57 @@ def waiver_cost(test: TestFunction, params: VendorParams, x):
     return float(val) if val.ndim == 0 else val
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-9) -> float:
-    """Golden-section maximization of f on [a, b]; assumes a single interior peak."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+def golden_max(f, a, b, tol: float = 1e-9):
+    """Golden-section maximization of f on [a, b]; assumes a single interior peak.
+
+    a and b may be arrays of brackets, refined in lockstep: f is called with
+    an array of their shape, entry i inside bracket i, and answers entry by
+    entry. Each bracket stops once its own width is at most tol, so each
+    result equals a scalar call on that bracket. A bracket also stops when a
+    step leaves its width unchanged, which happens once tol is below the
+    spacing of the floats around it. Scalar brackets give a float.
+    """
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
+    w = b - a
+    c = b - _GOLDEN * w
+    d = a + _GOLDEN * w
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    live = w > tol
+    while np.count_nonzero(live):
+        left = fc > fd  # the peak lies in [a, d]
+        np.copyto(b, d, where=left & live)
+        np.copyto(a, c, where=live > left)  # live and not left
+        w_new = b - a
+        step = _GOLDEN * w_new
+        new = np.where(left, b - step, a + step)
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        live = (w_new > tol) & (w_new < w)
+        w = w_new
+    mid = 0.5 * (a + b)
+    return float(mid) if mid.ndim == 0 else mid
+
+
+def grid_peaks(f, xs: np.ndarray, u: np.ndarray):
+    """Every local maximum of u = f(xs) on the grid, endpoints included, refined.
+
+    Each peak is refined by golden section over its two neighbouring cells,
+    all in one lockstep call, and keeps the best of its grid point, the
+    refined point and its two neighbours (earliest on a tie). Returns the
+    peaks' positions and values.
+    """
+    n = len(xs)
+    peak = np.ones(n, dtype=bool)
+    peak[1:-1] = (u[1:-1] >= u[:-2]) & (u[1:-1] >= u[2:])
+    i = np.nonzero(peak)[0]
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+    x_star = golden_max(f, xs[lo], xs[hi])
+    best_x, best_u = xs[i], u[i]
+    for x, v in ((x_star, f(x_star)), (xs[lo], u[lo]), (xs[hi], u[hi])):
+        better = v > best_u  # strict, so the earliest candidate wins a tie
+        best_x, best_u = np.where(better, x, best_x), np.where(better, v, best_u)
+    return best_x, best_u
 
 
 @dataclass(frozen=True)
@@ -88,8 +124,9 @@ def optimal_strategy(
     """Maximize G on [0, x_max] by grid search plus golden-section refinement.
 
     Returns every refined local maximum whose value lies within tie_tol of
-    the global maximum. A run of >= 3 consecutive near-optimal grid points
-    is flagged as a flat region and reported by its endpoints.
+    the global maximum. A run of >= 5 consecutive near-optimal grid points
+    is flagged as a flat region, and the first and last near-optimal grid
+    points join the maximizers.
     """
     if grid is None:
         grid = default_grid(params)
@@ -100,45 +137,23 @@ def optimal_strategy(
 
     xs = grid.points()
     g = g_value(test, params, xs)
-
-    # local maxima on the grid, endpoints included
-    cand_idx = [0, len(xs) - 1]
-    interior = np.nonzero((g[1:-1] >= g[:-2]) & (g[1:-1] >= g[2:]))[0] + 1
-    cand_idx.extend(interior.tolist())
-
-    f = lambda x: g_value(test, params, x)
-    refined = []
-    for i in sorted(set(cand_idx)):
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        pick = [(xs[i], g[i])]
-        if hi > lo:
-            x_star = golden_max(f, lo, hi)
-            pick += [(x_star, f(x_star)), (lo, f(lo)), (hi, f(hi))]
-        refined.append(max(pick, key=lambda t: t[1]))
-
-    best = max(v for _, v in refined)
+    peaks, values = grid_peaks(lambda x: g_value(test, params, x), xs, g)
+    best = float(values.max())
     utility = max(best, 0.0)
 
     maximizers = []
-    for x_star, v in sorted(refined):
-        if v >= best - tie_tol and all(abs(x_star - m) > 1e-7 for m in maximizers):
-            maximizers.append(x_star)
+    for x_star in np.sort(peaks[values >= best - tie_tol]):
+        if not maximizers or x_star - maximizers[-1] > 1e-7:
+            maximizers.append(float(x_star))
 
     # flat-region detection: long contiguous stretch of (numerically) exactly
     # optimal grid points; a smooth peak never produces one at this tolerance
     near = g >= best - 1e-12 * max(1.0, params.R)
-    flat = False
-    run = 0
-    for ok in near:
-        run = run + 1 if ok else 0
-        if run >= 5:
-            flat = True
-            break
+    five_in_a_row = near[:-4] & near[1:-3] & near[2:-2] & near[3:-1] & near[4:]
+    flat = bool(np.count_nonzero(five_in_a_row))
     if flat:
-        # report bracket endpoints of the widest near-optimal run
         idx = np.nonzero(near)[0]
-        maximizers = sorted(set(maximizers) | {xs[idx[0]], xs[idx[-1]]})
+        maximizers = sorted(set(maximizers) | {float(xs[idx[0]]), float(xs[idx[-1]])})
 
     return StrategySolution(utility=utility, maximizers=tuple(maximizers), tie_tol=tie_tol, flat=flat)
 

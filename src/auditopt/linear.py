@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import golden_max, optimal_strategy
+from .core import grid_peaks, optimal_strategy
 from .types import LinearTest, VendorParams
 
 
@@ -162,30 +162,14 @@ def two_step_value(b_prime, b, params: VendorParams, x):
 def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
     """Largest global maximizer of f over the grid, after golden refinement.
 
-    Every grid point within a slope-aware window of the grid maximum seeds a
-    local refinement, so a maximizer sitting between grid points is not lost;
-    ties within tie_tol are broken toward the largest effort (the designers'
-    convention: the auditor credits the highest optimal investment).
+    Every local maximum of f on the grid is refined between its neighbours,
+    so a maximizer sitting between grid points is not lost; ties within
+    tie_tol are broken toward the largest effort (the designers' convention:
+    the auditor credits the highest optimal investment).
     """
-    u = np.asarray(f(xs), dtype=float)
-    step = float(xs[1] - xs[0])
-    slope = float(np.max(np.abs(np.diff(u)))) / step if len(xs) > 1 else 0.0
-    window = 3.0 * step * slope + tie_tol
-    best = float(np.max(u))
-
-    cand = np.nonzero(u >= best - window)[0]
-    runs = np.split(cand, np.nonzero(np.diff(cand) > 1)[0] + 1)
-    peaks = []
-    for run in runs:
-        i = run[int(np.argmax(u[run]))]
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        x_star = golden_max(f, lo, hi) if hi > lo else float(xs[i])
-        options = [(float(xs[i]), float(u[i])), (x_star, float(f(x_star)))]
-        peaks.append(max(options, key=lambda t: t[1]))
-
-    top = max(v for _, v in peaks)
-    winners = [x for x, v in peaks if v >= top - tie_tol]
-    return max(winners), top
+    peaks, values = grid_peaks(f, xs, np.asarray(f(xs), dtype=float))
+    top = float(values.max())
+    return float(peaks[values >= top - tie_tol].max()), top
 
 
 def _two_step_argmax(b_prime: float, b: float, params: VendorParams, step: float = 1e-3):
@@ -225,10 +209,10 @@ def design_dynamic_harder_first(params: VendorParams, epsilon: float = 1e-2) -> 
     Always induces strictly less investment than the static optimum; the
     returned design is the constrained best given the minimum test gap.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon > 1.0:
-        raise ValueError("epsilon must be <= 1 (the first test must overlap b..b+1)")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(
+            f"epsilon must lie in (0, 1] (the first test must overlap b..b+1), got {epsilon}"
+        )
     c, R, a = params.c, params.R, params.alpha
     rosi = params.rosi
     if not (1.0 - a) < rosi < 1.0 / (1.0 - a):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import golden_max, optimal_strategy, waiver_cost
+from .core import optimal_strategy, waiver_cost
 from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, _require_finite
 
 _EXP_OVERFLOW = 700.0  # exp argument beyond this maps to the +inf sentinel
@@ -42,7 +42,7 @@ def liability_loss(model: LiabilityModel, x):
     if np.any(x <= 0):
         raise ValueError("effort x must be > 0 (loss diverges at x = 0)")
     g = model.gamma
-    arg = g * model.mu0 / x + 0.5 * g * g * (model.s0 / x) ** 2
+    arg = g * model.mu0 / x + 0.5 * (g * model.s0 / x) ** 2
     val = np.where(arg > _EXP_OVERFLOW, np.inf, np.exp(np.minimum(arg, _EXP_OVERFLOW)))
     return float(val) if val.ndim == 0 else val
 
@@ -54,35 +54,49 @@ def opt_out_utility(model: LiabilityModel, params: VendorParams, x):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def max_opt_out_utility(
-    model: LiabilityModel, params: VendorParams, coarse_step: float = 1e-2
-) -> tuple[float, float]:
+def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[float, float]:
     """Maximize the opt-out utility over effort.
 
     For gamma = 0 the supremum R - 1 is approached as x -> 0 and is returned
-    with x_star = 0. For gamma > 0 the interior maximizer is located by a
-    coarse grid (expanded rightward while the argmax sits on the edge)
-    followed by golden-section refinement.
+    with x_star = 0. For gamma > 0 the utility is concave, and its maximizer
+    is the root of the first-order condition
+    c = L(x) * (gamma*mu0/x^2 + gamma^2*s0^2/x^3), whose right side falls
+    from +inf to 0. The root is bisected in log x on the logarithm of that
+    condition, which neither overflows nor underflows for any finite gamma.
     """
     if model.gamma == 0.0:
         return params.R - 1.0, 0.0
+    g, m, s = model.gamma, model.mu0, model.s0
+    log_g, log_c = math.log(g), math.log(params.c)
 
-    x_hi = params.rosi + 1.0
-    while True:
-        xs = np.arange(coarse_step, x_hi + coarse_step, coarse_step)
-        u = opt_out_utility(model, params, xs)
-        i = int(np.argmax(u))
-        if i < len(xs) - 1 or x_hi > 1e6:
+    def below_root(t: float) -> bool:  # the right side exceeds c at x = e^t
+        x = math.exp(t)
+        r = g * s / x
+        return g * m / x + 0.5 * r * r + log_g + math.log(m * x + g * s * s) - 3.0 * t > log_c
+
+    # the right side exceeds gamma*mu0/x^2 everywhere, and for x >= gamma*max(mu0, s0),
+    # where L(x) <= e^1.5, it is below 4.5*gamma*(mu0 + s0)/x^2
+    lo = 0.5 * (log_g + math.log(m) - log_c)
+    hi = max(log_g + math.log(max(m, s)), 0.5 * (math.log(5.0) + log_g + math.log(m + s) - log_c))
+    x_star = math.exp(_bisect(below_root, lo, hi, 1e-12))
+    return opt_out_utility(model, params, x_star), x_star
+
+
+def _bisect(below_root, lo: float, hi: float, rel_tol: float) -> float:
+    """Root of a monotone predicate on [lo, hi], true left of the root.
+
+    Halves the bracket until it is at most rel_tol * max(1, |hi|) wide, or
+    no float lies between its ends, and returns its midpoint.
+    """
+    while hi - lo > rel_tol * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
             break
-        x_hi *= 2.0
-
-    lo = xs[i - 1] if i > 0 else coarse_step * 1e-6
-    hi = xs[i + 1] if i < len(xs) - 1 else xs[i]
-    f = lambda x: opt_out_utility(model, params, x)
-    x_star = golden_max(f, lo, hi)
-    cands = [(x_star, f(x_star)), (float(xs[i]), float(u[i]))]
-    x_star, u_star = max(cands, key=lambda t: t[1])
-    return u_star, x_star
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def gamma_bar(
@@ -104,23 +118,16 @@ def gamma_bar(
     if u_in >= params.R - 1.0:
         return 0.0
 
-    def excess(g: float) -> float:
+    def opts_out(g: float) -> bool:
         u_out, _ = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
-        return u_out - u_in
+        return u_out - u_in > 0.0
 
     hi = 1.0
-    while excess(hi) > 0.0:
+    while opts_out(hi):
         hi *= 2.0
         if hi > gamma_cap:
             return math.inf
-    lo = 0.0
-    while hi - lo > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(opts_out, 0.0, hi, rel_tol)
 
 
 @dataclass(frozen=True)

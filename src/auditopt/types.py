@@ -9,6 +9,9 @@ import numpy as np
 from scipy.special import ndtr
 
 
+MAX_GRID_POINTS = 10**7  # 80 MB per float array over the grid
+
+
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
@@ -129,6 +132,11 @@ class GridSpec:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.x_max > 0:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if self.x_max / self.step + 0.5 >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"x_max/step = {self.x_max / self.step:.3g} gives more than "
+                f"{MAX_GRID_POINTS} grid points"
+            )
 
     def points(self) -> np.ndarray:
         n = int(math.floor(self.x_max / self.step + 0.5)) + 1

@@ -79,26 +79,24 @@ def brute_force_static_design(params):
     """Best entrance value by generic search: scan for the feasibility cliff
     of the interior peak, bisect it, then refine the induced investment."""
 
-    def peak(b):
-        return golden_argmax(lambda x: g_linear(b, params, x), b, b + 1.0)[1]
+    def peak(b):  # b may be an array of entrance values, refined in lockstep
+        x = golden_max(lambda x: g_linear(b, params, x), b, b + 1.0, tol=1e-12)
+        return x, g_linear(b, params, x)
 
     b_hi = params.rosi + 1.0
     bs = np.arange(0.0, b_hi, 1e-3)
-    vals = np.array([peak(b) for b in bs])
-    feasible = vals >= 0.0
+    feasible = peak(bs)[1] >= 0.0
     if not feasible[0]:
         return 0.0, 0.0
     i = int(np.nonzero(feasible)[0][-1])
     lo, hi = bs[i], min(bs[i] + 1e-3, b_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if peak(mid) >= 0.0:
+        if peak(mid)[1] >= 0.0:
             lo = mid
         else:
             hi = mid
-    b_star = lo
-    x_star = golden_argmax(lambda x: g_linear(b_star, params, x), b_star, b_star + 1.0)[0]
-    return b_star, x_star
+    return lo, peak(lo)[0]
 
 
 def sample_cases(rng, case, n):

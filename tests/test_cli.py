@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from auditopt import LinearTest, VendorParams, optimal_strategy
 from auditopt.cli import main
 
 
@@ -80,6 +81,8 @@ def test_optimal_json(tmp_path):
     assert abs(doc["solution"]["utility"]) < 1e-9
     assert max(doc["solution"]["maximizers"]) == 4.0
     assert doc["version"]
+    sol = optimal_strategy(LinearTest(3.0), VendorParams(R=4.0, c=1.0, alpha=0.5))
+    assert all(type(m) is float for m in sol.maximizers)
 
 
 def test_coverage_single_cell_and_inf(tmp_path):
@@ -143,6 +146,28 @@ def test_design_modes(tmp_path):
     assert doc["design"]["verified"]
 
 
+def test_design_rejects_nan_epsilon(tmp_path):
+    out = tmp_path / "d.json"
+    rc = main(
+        [
+            "design", "--mode", "harder-first", "--epsilon", "nan",
+            "--R", "1.5", "--c", "1", "--alpha", "0.5",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_optimal_grid_size_limits(tmp_path):
+    base = ["optimal", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "linear", "--b", "3"]
+    out = tmp_path / "o.json"
+    assert main(base + ["--grid-step", "1e-9", "--x-max", "1e3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(base + ["--grid-step", "1", "--x-max", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["solution"]["maximizers"] == [0.0, 4.0]
+
+
 def test_design_regime_error_exit_code(tmp_path):
     rc = main(
         [
@@ -191,6 +216,16 @@ def test_invalid_params_exit_code(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_test_config_errors(tmp_path, capsys):
+    base = ["optimal", "--R", "4", "--c", "1", "--alpha", "0.5", "--out", str(tmp_path / "x.json")]
+    assert main(base + ["--test", "threshold", "--delta", "1"]) == 2
+    assert "error: test: threshold requires 'sigma'" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"test": "mystery"}))
+    assert main(base + ["--config", str(cfg)]) == 2
+    assert "error: test: unknown test type: 'mystery'" in capsys.readouterr().err
 
 
 def test_approx_csv_and_precondition(tmp_path):

@@ -18,6 +18,8 @@ from auditopt import (
     value_iteration_oracle,
     waiver_cost,
 )
+from auditopt.core import golden_max
+from auditopt.types import MAX_GRID_POINTS
 
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
 
@@ -88,6 +90,39 @@ def test_optimal_strategy_linear_safe_harbor():
     assert sol.utility == pytest.approx(0.0, abs=1e-12)
     assert max(sol.maximizers) == pytest.approx(4.0, abs=1e-9)
     assert min(sol.maximizers) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_golden_max_lockstep_matches_scalar_calls():
+    f = lambda x: -((x - 0.3) ** 2) * (1.0 + np.sin(7.0 * x) ** 2)
+    los = np.array([0.0, 0.25, 0.1, 0.29999, 0.3])
+    his = np.array([1.0, 0.35, 0.31, 0.30001, 0.3])
+    xs = golden_max(f, los, his, tol=1e-12)
+    scalar = [golden_max(f, lo, hi, tol=1e-12) for lo, hi in zip(los, his)]
+    assert all(type(x) is float for x in scalar)
+    assert xs.tolist() == scalar
+
+
+def test_golden_max_stops_below_float_spacing():
+    # at 1e13 neighbouring floats are 2e-3 apart, far above tol
+    x = golden_max(lambda x: -((x - 1.00000001e13) ** 2), 1e13, 1e13 + 1e7, tol=1e-9)
+    assert abs(x - 1.00000001e13) < 1.0
+
+
+def test_grid_spec_caps_point_count():
+    GridSpec(x_max=(MAX_GRID_POINTS - 1) * 1e-3, step=1e-3)  # exactly at the cap
+    for x_max, step in ((MAX_GRID_POINTS * 1e-3, 1e-3), (1e3, 1e-9)):
+        with pytest.raises(ValueError, match="grid points"):
+            GridSpec(x_max=x_max, step=step)
+    with pytest.raises(ValueError, match="grid points"):
+        GridSpec(x_max=1e300, step=1e-300)
+
+
+def test_optimal_strategy_short_grids():
+    for step in (1.0, 2.5, 10.0):  # 4, 2 and 1 grid points
+        sol = optimal_strategy(ThresholdTest(1.0, 0.5), VendorParams(2.0, 1.0, 0.5),
+                               GridSpec(x_max=3.0, step=step))
+        assert sol.maximizers and all(type(m) is float for m in sol.maximizers)
+        assert not sol.flat
 
 
 def test_optimal_strategy_threshold_frozen():

@@ -159,6 +159,13 @@ def test_easier_first_design_frozen():
     assert d.x > design_static(P15).x
 
 
+def test_easier_first_verified_just_above_unit_rosi():
+    # x = 0 and x = R/c tie at U = 0; the check must credit the larger one
+    for rosi in (1.0005, 1.001, 1.003):
+        d = design_dynamic_easier_first(VendorParams(R=rosi, c=1.0, alpha=0.5))
+        assert d.verified, rosi
+
+
 def test_easier_first_regime_errors():
     with pytest.raises(RegimeError):
         design_dynamic_easier_first(P4)
@@ -195,8 +202,9 @@ def test_harder_first_second_branch():
 
 
 def test_harder_first_validation():
-    with pytest.raises(ValueError):
-        design_dynamic_harder_first(P15, epsilon=0.0)
+    for eps in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            design_dynamic_harder_first(P15, epsilon=eps)
     with pytest.raises(RegimeError):
         design_dynamic_harder_first(P4, epsilon=0.01)
     with pytest.raises(RegimeError):

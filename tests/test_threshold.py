@@ -79,6 +79,33 @@ def test_max_opt_out_interior_matches_dense_grid():
     assert x_star == pytest.approx(float(xs[i]), abs=1e-4)
 
 
+def test_max_opt_out_when_coarse_grid_overflows():
+    # every point of a 1e-2 grid up to R/c + 1 overflows the loss; the
+    # maximum sits far to the right
+    m = LiabilityModel(gamma=40.0, mu0=0.3, s0=2.8)
+    params = VendorParams(R=2.85, c=1.9, alpha=0.3)
+    u, x_star = max_opt_out_utility(m, params)
+    xs = np.arange(30.0, 80.0, 1e-4)
+    dense = opt_out_utility(m, params, xs)
+    i = int(np.argmax(dense))
+    assert u == pytest.approx(-107.65884973983826, abs=1e-8)
+    assert u == pytest.approx(float(dense[i]), abs=1e-8)
+    assert x_star == pytest.approx(float(xs[i]), abs=1e-4)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e6])
+def test_max_opt_out_extreme_aversion(gamma):
+    m = LiabilityModel(gamma=gamma, mu0=1.0, s0=1.5)
+    u, x_star = max_opt_out_utility(m, P4)
+    assert math.isfinite(u) and 0.0 < x_star < math.inf
+    assert u <= 3.0
+    # the first-order root beats its neighbours at relative distance 1e-6
+    for x in (x_star * (1 - 1e-6), x_star * (1 + 1e-6)):
+        assert opt_out_utility(m, P4, x) <= u
+    if gamma < 1.0:
+        assert u == 3.0 and x_star == pytest.approx(math.sqrt(gamma), rel=1e-9)
+
+
 def test_max_opt_out_monotone_in_aversion():
     utils = [
         max_opt_out_utility(LiabilityModel(g, 1.0, 1.5), P4)[0]
@@ -102,6 +129,11 @@ def test_gamma_bar_frozen_value_and_indifference():
     u_in = optimal_strategy(test, P4).utility
     u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.0, 1.5), P4)
     assert u_out == pytest.approx(u_in, abs=1e-6)
+
+
+def test_gamma_bar_stops_at_float_resolution():
+    gb = gamma_bar(ThresholdTest(3.0, 1.0), 1.0, 1.5, P4, rel_tol=0.0)
+    assert gb == pytest.approx(0.9108548662625253, rel=1e-9)
 
 
 def test_gamma_bar_monotone_in_threshold():
