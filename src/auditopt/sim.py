@@ -133,9 +133,11 @@ def simulate(
         truncated += live.size
         utilities[live] = paid[t - 1] if t else 0.0
 
-        # merge this chunk's count, mean and M2 into the running totals
-        mean = float(utilities.mean())
-        m2 = float(np.sum((utilities - mean) ** 2))
+        # merge this chunk's count, mean and M2 into the running totals (an
+        # overflow stays non-finite, for the caller to refuse)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(utilities.mean())
+            m2 = float(np.sum((utilities - mean) ** 2))
         n_new = n_all + n
         delta = mean - mean_all
         mean_all += delta * (n / n_new)

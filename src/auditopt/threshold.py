@@ -61,42 +61,46 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
     with x_star = 0. For gamma > 0 the utility is concave, and its maximizer
     is the root of the first-order condition
     c = L(x) * (gamma*mu0/x^2 + gamma^2*s0^2/x^3), whose right side falls
-    from +inf to 0. The root is bisected in log x on the logarithm of that
-    condition, which neither overflows nor underflows for any finite gamma.
+    from +inf to 0. Safeguarded Newton finds the root in log x on the log of
+    that condition, which neither overflows nor underflows for any finite gamma.
     """
     if model.gamma == 0.0:
         return params.R - 1.0, 0.0
     g, m, s = model.gamma, model.mu0, model.s0
     log_g, log_c = math.log(g), math.log(params.c)
 
-    def below_root(t: float) -> bool:  # the right side exceeds c at x = e^t
+    def h(t: float) -> tuple[float, float]:  # log(right side / c) at x = e^t, and its slope
         x = math.exp(t)
         r = g * s / x
-        return g * m / x + 0.5 * r * r + log_g + math.log(m * x + g * s * s) - 3.0 * t > log_c
+        value = g * m / x + 0.5 * r * r + log_g + math.log(m * x + g * s * s) - 3.0 * t - log_c
+        return value, -g * m / x - r * r + m * x / (m * x + g * s * s) - 3.0
 
     # the right side exceeds gamma*mu0/x^2 everywhere, and for x >= gamma*max(mu0, s0),
     # where L(x) <= e^1.5, it is below 4.5*gamma*(mu0 + s0)/x^2
     lo = 0.5 * (log_g + math.log(m) - log_c)
     hi = max(log_g + math.log(max(m, s)), 0.5 * (math.log(5.0) + log_g + math.log(m + s) - log_c))
-    x_star = math.exp(_bisect(below_root, lo, hi, 1e-12))
+    x_star = math.exp(_newton(h, lo, hi, 1e-12))
     return opt_out_utility(model, params, x_star), x_star
 
 
-def _bisect(below_root, lo: float, hi: float, rel_tol: float) -> float:
-    """Root of a monotone predicate on [lo, hi], true left of the root.
+def _newton(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Root in [lo, hi] of a function that is positive left of it and not right of it.
 
-    Halves the bracket until it is at most rel_tol * max(1, |hi|) wide, or
-    no float lies between its ends, and returns its midpoint.
+    f(t) returns the value and the slope at t. Newton's method, safeguarded
+    (Press et al., rtsafe): every evaluation tightens the bracket, and a
+    step that leaves it or is not finite becomes a bisection step. Stops
+    when a Newton step moves t by at most rel_tol * max(1, |t|), or when no
+    float lies between the bracket's ends.
     """
-    while hi - lo > rel_tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if below_root(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi)
+    while lo < t < hi:
+        value, slope = f(t)
+        lo, hi = (t, hi) if value > 0.0 else (lo, t)
+        t_new = t - (value / slope if 0.0 < abs(slope) < math.inf else math.nan)
+        if abs(t_new - t) <= rel_tol * max(1.0, abs(t)) and lo <= t_new <= hi:
+            return t_new
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)  # a NaN step bisects too
+    return t
 
 
 def gamma_bar(
@@ -111,23 +115,27 @@ def gamma_bar(
 
     Returns 0 when the audit already beats the best possible opt-out utility
     (full coverage), +inf when no gamma below gamma_cap makes the vendor
-    participate, and otherwise the bisection root of
-    U_out*(gamma) = U_in*.
+    participate, and otherwise the root of F(gamma) = U_out*(gamma) - U_in*,
+    bracketed by doubling gamma from 1. F falls with slope
+    -L(x*) * (mu0/x* + gamma*s0^2/x*^2), L(x*) = R - c*x* - U_out* (envelope
+    theorem), and safeguarded Newton stops once a step moves gamma by at most
+    rel_tol * max(1, gamma), or no float is left inside the bracket.
     """
     u_in = optimal_strategy(test, params).utility
     if u_in >= params.R - 1.0:
         return 0.0
 
-    def opts_out(g: float) -> bool:
-        u_out, _ = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
-        return u_out - u_in > 0.0
+    def f(g: float) -> tuple[float, float]:
+        u_out, x = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
+        loss, r = params.R - params.c * x - u_out, s0 / x
+        return u_out - u_in, -loss * (mu0 / x + g * r * r)
 
-    hi = 1.0
-    while opts_out(hi):
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while f(hi)[0] > 0.0:
+        lo, hi = hi, 2.0 * hi
         if hi > gamma_cap:
             return math.inf
-    return _bisect(opts_out, 0.0, hi, rel_tol)
+    return _newton(f, lo, hi, rel_tol)
 
 
 @dataclass(frozen=True)

@@ -194,45 +194,47 @@ def brute_force_harder_first(params, epsilon):
     """Constrained search: for each allowed test gap, bisect the feasibility
     cliff of the two-step interior peak over the tail entrance value."""
 
-    def interior_peak(b, delta):
-        f = lambda x: two_step_value(b + delta, b, params, x)
-        best = -math.inf
-        arg = 0.0
-        for lo, hi in ((b, b + delta + 1.0),):
-            xs = np.linspace(max(lo, 1e-9), hi, 400)
-            vals = f(xs)
-            i = int(np.argmax(vals))
-            x0, u0 = argmax_largest_tie(f, xs, tie_tol=1e-10)
-            if u0 > best:
-                best, arg = u0, x0
-        return arg, best
-
-    def cliff(delta):
-        bs = np.arange(0.0, params.rosi + 1.0, 2e-2)
-        peaks = np.array([interior_peak(b, delta)[1] for b in bs])
-        feasible = peaks >= 0.0
-        if not feasible[0]:
-            return 0.0, 0.0
-        i = int(np.nonzero(feasible)[0][-1])
-        lo, hi = bs[i], bs[i] + 2e-2
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if interior_peak(mid, delta)[1] >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x_at, _ = interior_peak(lo, delta)
-        return lo, x_at
+    def interior_peaks(b, delta):
+        """argmax_largest_tie(f, 400-point grid on [b, b + delta + 1], 1e-10)
+        of f = two_step_value(b + delta, b, .) for every entry of b and delta
+        at once: every grid local maximum of every row is refined in one
+        lockstep golden_max call, then each row keeps its largest tie."""
+        b, delta = (np.ravel(v).astype(float) for v in np.broadcast_arrays(b, delta))
+        xs = np.linspace(np.maximum(b, 1e-9), b + delta + 1.0, 400, axis=-1)
+        vals = two_step_value((b + delta)[:, None], b[:, None], params, xs)
+        peak = np.ones(vals.shape, dtype=bool)
+        peak[:, 1:-1] = (vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:])
+        row, i = np.nonzero(peak)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, xs.shape[1] - 1)
+        f = lambda x: two_step_value(b[row] + delta[row], b[row], params, x)
+        x_star = golden_max(f, xs[row, lo], xs[row, hi])
+        best_x, best_u = xs[row, i], vals[row, i]
+        candidates = (x_star, f(x_star)), (xs[row, lo], vals[row, lo]), (xs[row, hi], vals[row, hi])
+        for x, v in candidates:
+            better = v > best_u  # strict, so the earliest candidate wins a tie
+            best_x, best_u = np.where(better, x, best_x), np.where(better, v, best_u)
+        top = np.full(len(b), -np.inf)
+        np.maximum.at(top, row, best_u)
+        tied = best_u >= top[row] - 1e-10
+        arg = np.full(len(b), -np.inf)
+        np.maximum.at(arg, row[tied], best_x[tied])
+        return arg, top
 
     # larger gaps only hurt: check a few and keep the binding one
-    best_b, best_x, best_delta = 0.0, -math.inf, epsilon
-    for delta in (epsilon, 2 * epsilon, 5 * epsilon, 0.1, 0.3):
-        if delta > 1.0:
-            continue
-        b_d, x_d = cliff(delta)
-        if x_d > best_x:
-            best_b, best_x, best_delta = b_d, x_d, delta
-    return best_b, best_x, best_delta
+    deltas = np.array([d for d in (epsilon, 2 * epsilon, 5 * epsilon, 0.1, 0.3) if d <= 1.0])
+    bs = np.arange(0.0, params.rosi + 1.0, 2e-2)
+    feasible = (interior_peaks(bs[None, :], deltas[:, None])[1] >= 0.0).reshape(len(deltas), -1)
+    last = np.array([np.nonzero(row)[0][-1] if row[0] else 0 for row in feasible])
+    lo, hi = bs[last], bs[last] + 2e-2
+    for _ in range(50):  # every gap's cliff, bisected in lockstep
+        mid = 0.5 * (lo + hi)
+        ok = interior_peaks(mid, deltas)[1] >= 0.0
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    x_at = interior_peaks(lo, deltas)[0]
+    b_d = np.where(feasible[:, 0], lo, 0.0)
+    x_d = np.where(feasible[:, 0], x_at, 0.0)
+    k = int(np.argmax(x_d))  # the first of equal investments, as a strict scan keeps
+    return float(b_d[k]), float(x_d[k]), float(deltas[k])
 
 
 def test_criterion_05_harder_first_design():

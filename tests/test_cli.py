@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,13 +349,38 @@ def test_simulate_rejects_non_finite_inputs(tmp_path, flags):
     assert not out.exists()
 
 
-FUZZ_VALUES = st.one_of(
-    st.sampled_from(["0.5", "1", "4"]),
-    st.sampled_from(["0", "-1", "1e300", "nan", "inf", "-inf"]),
-)
-FUZZ_ALPHAS = st.one_of(
-    st.sampled_from(["0.2", "0.5", "0.9"]), st.sampled_from(["0", "1", "nan", "inf"])
-)
+FUZZ_BAD = ("0", "-1", "1e300", "nan", "inf", "-inf")
+FUZZ_BAD_ALPHAS = ("0", "1", "nan", "inf")
+FUZZ_VALUES = st.one_of(st.sampled_from(["0.5", "1", "4"]), st.sampled_from(FUZZ_BAD))
+FUZZ_ALPHAS = st.one_of(st.sampled_from(["0.2", "0.5", "0.9"]), st.sampled_from(FUZZ_BAD_ALPHAS))
+
+
+def run_fuzzed(argv):
+    """Exit code of main(argv), which must keep the contract: 0, 2 or 3."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    assert rc in (0, 2, 3)
+    return rc
+
+
+def finite_json(path):
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def csv_columns(path):
+    _, _, rows = read_csv(path)
+    return [[float(v) for v in col] for col in zip(*rows)]
+
+
+def mostly(*valid, bad=FUZZ_BAD):
+    """One of valid three times in four, else one of bad, so that most
+    fuzzed commands get past the parameter checks into the solvers."""
+    return st.sampled_from(list(valid) * (3 * len(bad)) + list(bad) * len(valid))
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,11 +407,129 @@ def test_simulate_exit_code_contract(tmp_path_factory, R, c, alpha, test, test_a
     argv += [a.format(*test_args, dir=out_dir) for a in test]
     argv += ["--schedule", f"0:{levels[0]},1:{levels[1]}", "--episodes", str(episodes)]
     argv += ["--seed", "5", "--out", str(out_dir / "s.json")]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse rejects the command line
-        rc = exc.code
-    assert rc in (0, 2, 3)
-    if rc == 0:
+    if run_fuzzed(argv) == 0:
         doc = json.loads((out_dir / "s.json").read_text())
         assert math.isfinite(doc["result"]["mean"]) and math.isfinite(doc["analytic"])
+
+
+def test_simulate_overflow_leaves_only_the_error_on_stderr(tmp_path):
+    # finite inputs whose utilities overflow: refused by the JSON writer, with
+    # no numpy warning on the way
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = ["simulate", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "constant",
+            "--p", "0.5", "--schedule", "0:0.5,1:1e300", "--out", str(tmp_path / "s.json")]
+    proc = subprocess.run([sys.executable, "-m", "auditopt.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: inputs out of range: a result is not finite\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+FUZZ_R, FUZZ_C = mostly("1", "2.5", "4"), mostly("0.5", "1")
+FUZZ_ALPHA = mostly("0.3", "0.5", "0.7", bad=FUZZ_BAD_ALPHAS)
+FUZZ_ARGS = st.tuples(mostly("0.5", "1", "2"), mostly("0.5", "1"))
+FUZZ_TESTS = st.sampled_from(
+    [
+        ["--test=threshold", "--delta={0}", "--sigma={1}"],
+        ["--test=linear", "--b={0}"],
+        ["--test=constant", "--p={1}"],
+    ]
+)
+
+
+def fuzz_range(*valid):
+    return st.lists(mostly(*valid), min_size=1, max_size=3).map(",".join)
+
+
+def fuzz_params(R, c, alpha):
+    return [f"--R={R}", f"--c={c}", f"--alpha={alpha}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["g-sweep", "optimal"]),
+    R=FUZZ_R,
+    c=FUZZ_C,
+    alpha=FUZZ_ALPHA,
+    test=FUZZ_TESTS,
+    test_args=FUZZ_ARGS,
+    grid_step=st.one_of(st.none(), FUZZ_VALUES),
+)
+def test_solver_exit_code_contract(tmp_path_factory, command, R, c, alpha, test, test_args,
+                                   grid_step):
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    argv = [command] + fuzz_params(R, c, alpha) + [a.format(*test_args) for a in test]
+    if grid_step is not None:
+        argv.append(f"--grid-step={grid_step}")
+    if run_fuzzed(argv + ["--out", str(out)]) != 0:
+        return
+    if command == "g-sweep":
+        assert all(math.isfinite(v) for col in csv_columns(out) for v in col)
+        out = out.with_name("out.meta.json")
+    finite_json(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    R=FUZZ_R,
+    c=FUZZ_C,
+    alpha=FUZZ_ALPHA,
+    mu0=mostly("1e-300", "1", "1e300"),
+    s0=mostly("1e-300", "1.5", "1e300"),
+    deltas=fuzz_range("0", "1", "3"),
+    sigmas=fuzz_range("0.1", "1", "3"),
+)
+def test_coverage_exit_code_contract(tmp_path_factory, R, c, alpha, mu0, s0, deltas, sigmas):
+    out = tmp_path_factory.mktemp("fuzz") / "cov.csv"
+    argv = ["coverage"] + fuzz_params(R, c, alpha)
+    argv += [f"--mu0={mu0}", f"--s0={s0}", f"--delta-range={deltas}", f"--sigma-range={sigmas}"]
+    if run_fuzzed(argv + ["--out", str(out)]) != 0:
+        return
+    delta, sigma, gb = csv_columns(out)
+    assert all(math.isfinite(v) for v in delta + sigma)
+    assert all(g >= 0.0 for g in gb)  # +inf is the never-participates sentinel, NaN fails
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["static", "easier-first", "harder-first"]),
+    R=FUZZ_R,
+    c=FUZZ_C,
+    alpha=FUZZ_ALPHA,
+    epsilon=st.one_of(st.none(), mostly("0.01", "0.05")),
+)
+def test_design_exit_code_contract(tmp_path_factory, mode, R, c, alpha, epsilon):
+    out = tmp_path_factory.mktemp("fuzz") / "design.json"
+    argv = ["design", f"--mode={mode}"] + fuzz_params(R, c, alpha)
+    if epsilon is not None:
+        argv.append(f"--epsilon={epsilon}")
+    if run_fuzzed(argv + ["--out", str(out)]) == 0:
+        finite_json(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    R=FUZZ_R,
+    c=FUZZ_C,
+    alpha=FUZZ_ALPHA,
+    prefix=st.lists(mostly("0.5", "1", "2"), max_size=3),
+    tail=mostly("0.4"),
+    k_list=st.sampled_from(["0", "0,1", "0,1,2,3", "-1", "x"]),
+    grid_step=st.one_of(st.none(), FUZZ_VALUES),
+)
+def test_approx_exit_code_contract(tmp_path_factory, R, c, alpha, prefix, tail, k_list,
+                                   grid_step):
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    audit = {
+        "prefix": [{"type": "linear", "b": float(b)} for b in prefix],
+        "tail": {"type": "constant", "p": float(tail)},
+    }
+    (out_dir / "audit.json").write_text(json.dumps(audit))
+    argv = ["approx", f"--audit={out_dir / 'audit.json'}", f"--k-list={k_list}"]
+    argv += fuzz_params(R, c, alpha)
+    if grid_step is not None:
+        argv.append(f"--grid-step={grid_step}")
+    if run_fuzzed(argv + ["--out", str(out_dir / "study.csv")]) == 0:
+        assert all(math.isfinite(v) for col in csv_columns(out_dir / "study.csv") for v in col)

@@ -106,6 +106,23 @@ def test_max_opt_out_extreme_aversion(gamma):
         assert u == 3.0 and x_star == pytest.approx(math.sqrt(gamma), rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 1e-6, 1.0, 1e6])
+def test_max_opt_out_matches_dense_grid_over_aversion(gamma):
+    u, x_star = max_opt_out_utility(LiabilityModel(gamma, 1.0, 1.5), P4)
+    # the utility less its supremum R - 1, which keeps its digits at tiny gamma
+    def excess(x):
+        return -P4.c * x - np.expm1(gamma / x + 0.5 * (gamma * 1.5 / x) ** 2)
+
+    xs = math.sqrt(gamma / P4.c) * np.geomspace(1e-2, 1e4, 300_001)
+    with np.errstate(over="ignore"):
+        dense = excess(xs)
+    i = int(np.argmax(dense))
+    assert 0 < i < len(xs) - 1
+    assert x_star == pytest.approx(float(xs[i]), rel=1e-4)
+    assert excess(x_star) >= dense[i] - 1e-12 * abs(dense[i])
+    assert u == pytest.approx(P4.R - 1.0 + excess(x_star), rel=1e-12, abs=1e-300)
+
+
 def test_max_opt_out_monotone_in_aversion():
     utils = [
         max_opt_out_utility(LiabilityModel(g, 1.0, 1.5), P4)[0]
@@ -132,8 +149,88 @@ def test_gamma_bar_frozen_value_and_indifference():
 
 
 def test_gamma_bar_stops_at_float_resolution():
+    # the root to float resolution (the default tolerance lands on it too)
     gb = gamma_bar(ThresholdTest(3.0, 1.0), 1.0, 1.5, P4, rel_tol=0.0)
-    assert gb == pytest.approx(0.9108548662625253, rel=1e-9)
+    assert gb == 0.9108548660555045
+
+
+def bisect_to_float_resolution(left_of_root, lo, hi):
+    """Plain bisection oracle: halve [lo, hi] until no float lies inside."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def opt_out_oracle(gamma, mu0, s0, params):
+    """U_out*(gamma) by bisecting the sign of dU/dx in x itself."""
+    c, R = params.c, params.R
+
+    def loss(x):
+        return math.exp(gamma * mu0 / x + 0.5 * (gamma * s0 / x) ** 2)
+
+    def rising(x):
+        return loss(x) * (gamma * mu0 / x**2 + gamma**2 * s0**2 / x**3) > c
+
+    lo = hi = math.sqrt(gamma * mu0 / c)  # dU/dx > 0 below this
+    while rising(hi):
+        hi *= 2.0
+    x = bisect_to_float_resolution(rising, lo, hi)
+    return R - c * x - loss(x)
+
+
+CRITERION_10_CELLS = [
+    ThresholdTest(float(d), float(s))
+    for d in np.linspace(0.0, 3.0, 7)
+    for s in np.linspace(0.1, 3.0, 7)
+]
+
+
+def test_gamma_bar_matches_bisection_oracle_and_is_indifferent():
+    from auditopt import optimal_strategy
+
+    finite = 0
+    for test in CRITERION_10_CELLS:
+        gb = gamma_bar(test, 1.0, 1.5, P4)
+        u_in = optimal_strategy(test, P4).utility
+        if gb == 0.0:
+            assert u_in >= P4.R - 1.0
+            continue
+        finite += 1
+        hi = 1.0
+        while opt_out_oracle(hi, 1.0, 1.5, P4) > u_in:
+            hi *= 2.0
+        oracle = bisect_to_float_resolution(
+            lambda g: opt_out_oracle(g, 1.0, 1.5, P4) > u_in, 0.0, hi
+        )
+        assert abs(gb - oracle) <= 1e-12 * max(1.0, oracle)
+        u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.0, 1.5), P4)
+        assert abs(u_out - u_in) <= 1e-12 * P4.R
+    assert finite > 40
+
+
+def test_gamma_bar_opt_out_solves_per_cell(monkeypatch):
+    from auditopt import threshold
+
+    calls = []
+    solve = threshold.max_opt_out_utility
+
+    def counted(model, params):
+        calls.append(model.gamma)
+        return solve(model, params)
+
+    monkeypatch.setattr(threshold, "max_opt_out_utility", counted)
+    per_cell = []
+    for test in CRITERION_10_CELLS:
+        calls.clear()
+        gamma_bar(test, 1.0, 1.5, P4)
+        per_cell.append(len(calls))
+    # about 6 per cell; each solve is most of a cell's cost
+    assert max(per_cell) <= 12
 
 
 def test_gamma_bar_monotone_in_threshold():
