@@ -35,19 +35,16 @@ from .linear import (
     LinearDesign,
     RegimeError,
     RosiCase,
-    auxiliary_curves,
     capacity_gap_bound,
     design_dynamic_easier_first,
     design_dynamic_harder_first,
     design_static,
-    g_linear,
     tail_value,
     two_step_value,
 )
 from .multistep import (
     ApproxStudy,
     Audit,
-    NetValueFunction,
     approximation_study,
     backward_induction,
     bdd_check,

@@ -231,6 +231,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--out", required=False)
     p.add_argument("--config")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The effort grid, read only by the subcommands that solve on it."""
     p.add_argument("--grid-step", dest="grid_step", type=float)
     p.add_argument("--x-max", dest="x_max", type=float)
 
@@ -252,11 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g-sweep", help="sweep net utility and waiver cost over effort")
     _add_common(p)
+    _add_grid_flags(p)
     _add_test_flags(p)
     p.set_defaults(func=cmd_g_sweep)
 
     p = sub.add_parser("optimal", help="optimal investment strategy for a test")
     _add_common(p)
+    _add_grid_flags(p)
     _add_test_flags(p)
     p.set_defaults(func=cmd_optimal)
 
@@ -276,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="truncation error study for a finite-step audit")
     _add_common(p)
+    _add_grid_flags(p)
     p.add_argument("--audit")
     p.add_argument("--k-list", dest="k_list")
     p.set_defaults(func=cmd_approx)

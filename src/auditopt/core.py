@@ -8,7 +8,7 @@ verifies the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,21 +119,19 @@ def optimal_strategy(
     test: TestFunction,
     params: VendorParams,
     grid: GridSpec | None = None,
-    tie_tol: float | None = None,
 ) -> StrategySolution:
     """Maximize G on [0, x_max] by grid search plus golden-section refinement.
 
-    Returns every refined local maximum whose value lies within tie_tol of
-    the global maximum. A run of >= 5 consecutive near-optimal grid points
-    is flagged as a flat region, and the first and last near-optimal grid
-    points join the maximizers.
+    Returns every refined local maximum whose value lies within
+    tie_tol = 1e-6 * R of the global maximum. A run of >= 5 consecutive
+    near-optimal grid points is flagged as a flat region, and the first and
+    last near-optimal grid points join the maximizers.
     """
     if grid is None:
         grid = default_grid(params)
     if grid.x_max < params.rosi:
         raise ValueError(f"grid.x_max must be >= R/c = {params.rosi}")
-    if tie_tol is None:
-        tie_tol = 1e-6 * params.R
+    tie_tol = 1e-6 * params.R
 
     xs = grid.points()
     g = g_value(test, params, xs)
@@ -193,13 +191,24 @@ def enumerate_schedules(
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Discretized fixed point of the vendor's Bellman equation."""
+    """A value function on the grid.
+
+    value_iteration_oracle gives the fixed point of the vendor's Bellman
+    equation; backward_induction gives the best net value max_{y >= x} U_0(y)
+    of a finite-step audit, with its step-0 maximizer.
+    """
 
     xs: np.ndarray
     values: np.ndarray
+    maximizer: float | None = None
+    step_values: tuple = field(default=(), repr=False)  # running-max per step, 0..prefix len
 
     def at_zero(self) -> float:
         return float(self.values[0])
+
+    @property
+    def max_value(self) -> float:
+        return self.at_zero()
 
 
 def value_iteration_oracle(
@@ -207,7 +216,6 @@ def value_iteration_oracle(
     params: VendorParams,
     grid: GridSpec | None = None,
     tol: float = 1e-9,
-    max_iter: int | None = None,
 ) -> ValueFunction:
     """Solve the vendor's MDP by value iteration on the grid.
 
@@ -227,10 +235,9 @@ def value_iteration_oracle(
     c, R, a = params.c, params.R, params.alpha
     base = -c * xs + p * R  # y-dependent part excluding the continuation term
 
-    if max_iter is None:
-        # contraction factor <= alpha; generous cap on top of the analytic count
-        need = math.log(tol * (1.0 - a) / max(R, 1.0)) / math.log(a)
-        max_iter = int(abs(need)) * 4 + 100
+    # contraction factor <= alpha; generous cap on top of the analytic count
+    need = math.log(tol * (1.0 - a) / max(R, 1.0)) / math.log(a)
+    max_iter = int(abs(need)) * 4 + 100
 
     V = np.zeros_like(xs)
     thresh = tol * (1.0 - a)

@@ -172,10 +172,10 @@ def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
     return float(peaks[values >= top - tie_tol].max()), top
 
 
-def _two_step_argmax(b_prime: float, b: float, params: VendorParams, step: float = 1e-3):
-    """Largest numerical argmax of the two-step utility (grid + refinement)."""
+def _two_step_argmax(b_prime: float, b: float, params: VendorParams):
+    """Largest numerical argmax of the two-step utility (1e-3 grid + refinement)."""
     x_hi = max(b, b_prime) + 2.0
-    xs = np.arange(0.0, x_hi + step, step)
+    xs = np.arange(0.0, x_hi + 1e-3, 1e-3)
     f = lambda x: two_step_value(b_prime, b, params, x)
     return argmax_largest_tie(f, xs)
 
@@ -245,36 +245,3 @@ def design_dynamic_harder_first(params: VendorParams, epsilon: float = 1e-2) -> 
         case=rosi_case(params), b=b, b_prime=b_prime, x=x, utility=float(utility), verified=True
     )
 
-
-def overlap_quad(b_prime, b, params: VendorParams, x):
-    """Two-step utility on the region where the first test ramps over the tail plateau."""
-    x = np.asarray(x, dtype=float)
-    c, R, a = params.c, params.R, params.alpha
-    k = a * c * x + (1.0 - a) * c - 2.0 * math.sqrt((1.0 - a) * R * c) - a * b * c
-    val = -c * x + R + (1.0 + b_prime - x) * k
-    return float(val) if val.ndim == 0 else val
-
-
-def overlap_frac(b_prime, b, params: VendorParams, x):
-    """Two-step utility where the first test and the tail's middle branch both ramp."""
-    x = np.asarray(x, dtype=float)
-    c, R, a = params.c, params.R, params.alpha
-    val = -c * x + (x - (1.0 - a) * b_prime - a * b) * R / (1.0 - a + a * (x - b))
-    return float(val) if val.ndim == 0 else val
-
-
-def auxiliary_curves(
-    b_prime: float, b: float, params: VendorParams
-) -> tuple[float, float, float]:
-    """Stationary points of the two overlap pieces and the peak of the second.
-
-    Returns (peak of the quadratic piece, peak of the fractional piece, value
-    of the fractional piece at its peak).
-    """
-    c, R, a = params.c, params.R, params.alpha
-    abar = (1.0 - a) / a
-    x_quad = (b_prime + b) / 2.0 - abar + math.sqrt(abar * R / (a * c))
-    root = math.sqrt(abar * R / (a * c) + (1.0 - a) * R * (b_prime - b) / (a * c))
-    x_frac = b - abar + root
-    frac_max = -c * (b - abar - R / (a * c) + 2.0 * root)
-    return x_quad, x_frac, frac_max

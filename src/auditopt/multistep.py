@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .types import GridSpec, TestFunction, VendorParams
-from .core import g_value
+from .core import ValueFunction, g_value
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,9 @@ def _running_max(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-@dataclass(frozen=True)
-class NetValueFunction:
-    """Best net value max_{y >= x} U_0(y) on the grid, plus the step-0 maximizer."""
-
-    xs: np.ndarray
-    values: np.ndarray  # non-increasing running max
-    maximizer: float
-    max_value: float
-    step_values: tuple = field(default=(), repr=False)  # running-max per step, 0..prefix len
-
-
 def backward_induction(
     audit: Audit, params: VendorParams, grid: GridSpec
-) -> NetValueFunction:
+) -> ValueFunction:
     """Value the audit by backing up from the repeated tail through the prefix.
 
     The tail is the static problem (running max of the closed-form net
@@ -66,9 +55,9 @@ def backward_induction(
     xs = grid.points()
     c, R, a = params.c, params.R, params.alpha
 
-    u_star = _running_max(np.asarray(g_value(audit.tail, params, xs)))
+    u0 = np.asarray(g_value(audit.tail, params, xs))  # raw step-0 utility when static
+    u_star = _running_max(u0)
     steps = [u_star]
-    u0 = u_star  # raw step-0 utility; equals the tail G running-max when static
     for test in reversed(audit.prefix):
         p = np.asarray(test(xs))
         u0 = -(1.0 - a + a * p) * c * xs + p * R + a * (1.0 - p) * u_star
@@ -76,20 +65,10 @@ def backward_induction(
         steps.append(u_star)
     steps.reverse()
 
-    if audit.is_static:
-        raw = np.asarray(g_value(audit.tail, params, xs))
-    else:
-        raw = u0
     # break exact ties toward the largest effort (the designers' convention)
-    top = float(np.max(raw))
-    i = int(np.nonzero(raw >= top - 1e-12 * max(1.0, R))[0][-1])
-    return NetValueFunction(
-        xs=xs,
-        values=steps[0],
-        maximizer=float(xs[i]),
-        max_value=float(steps[0][0]),
-        step_values=tuple(steps),
-    )
+    top = float(np.max(u0))
+    i = int(np.nonzero(u0 >= top - 1e-12 * max(1.0, R))[0][-1])
+    return ValueFunction(xs=xs, values=steps[0], maximizer=float(xs[i]), step_values=tuple(steps))
 
 
 @dataclass(frozen=True)

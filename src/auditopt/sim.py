@@ -8,16 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multistep import Audit, backward_induction
-from .types import GridSpec, Schedule, VendorParams, default_grid
+from .types import GridSpec, Schedule, VendorParams
 
 
-def evaluate_schedule(
-    schedule: Schedule, audit: Audit, params: VendorParams, residual_tol: float = 1e-12
-) -> float:
+def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) -> float:
     """Exact expected discounted utility of following the schedule.
 
     Sums survival-weighted terms alpha^t * (pass_prob*R - incremental cost)
-    until the tail bound S_t * alpha^t * R/(1-alpha) drops below residual_tol.
+    until the tail bound S_t * alpha^t * R/(1-alpha) drops below 1e-12.
     The cost paid at step t and the reward for passing the test revealed at
     t+1 share the same discount alpha^t.
     """
@@ -27,7 +25,7 @@ def evaluate_schedule(
     x_prev = 0.0
     disc = 1.0
     t = 0
-    while survive * disc * R / (1.0 - a) >= residual_tol:
+    while survive * disc * R / (1.0 - a) >= 1e-12:
         x_t = schedule.level_at(t)
         p = float(audit.test_at(t)(x_t))
         total += survive * disc * (p * R - c * (x_t - x_prev))

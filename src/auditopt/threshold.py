@@ -15,6 +15,7 @@ from .core import optimal_strategy, waiver_cost
 from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, _require_finite
 
 _EXP_OVERFLOW = 700.0  # exp argument beyond this maps to the +inf sentinel
+_GAMMA_CAP = 1e6  # gamma_bar reports +inf beyond this risk aversion
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
     c = L(x) * (gamma*mu0/x^2 + gamma^2*s0^2/x^3), whose right side falls
     from +inf to 0. Safeguarded Newton finds the root in log x on the log of
     that condition, which neither overflows nor underflows for any finite gamma.
+    Loss moments so far out that the search leaves the float range raise
+    ValueError.
     """
     if model.gamma == 0.0:
         return params.R - 1.0, 0.0
@@ -79,7 +82,13 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
     # where L(x) <= e^1.5, it is below 4.5*gamma*(mu0 + s0)/x^2
     lo = 0.5 * (log_g + math.log(m) - log_c)
     hi = max(log_g + math.log(max(m, s)), 0.5 * (math.log(5.0) + log_g + math.log(m + s) - log_c))
-    x_star = math.exp(_newton(h, lo, hi, 1e-12))
+    try:
+        x_star = math.exp(_newton(h, lo, hi, 1e-12))
+    except (OverflowError, ValueError):  # math.exp overflowed, or math.log met 0
+        raise ValueError(
+            f"loss moments out of range: mu0 = {m}, s0 = {s} (gamma = {g}) "
+            "take the first-order condition outside the float range"
+        ) from None
     return opt_out_utility(model, params, x_star), x_star
 
 
@@ -108,13 +117,12 @@ def gamma_bar(
     mu0: float,
     s0: float,
     params: VendorParams,
-    gamma_cap: float = 1e6,
     rel_tol: float = 1e-9,
 ) -> float:
     """Risk-aversion level at which opting in and opting out are indifferent.
 
     Returns 0 when the audit already beats the best possible opt-out utility
-    (full coverage), +inf when no gamma below gamma_cap makes the vendor
+    (full coverage), +inf when no gamma below 1e6 makes the vendor
     participate, and otherwise the root of F(gamma) = U_out*(gamma) - U_in*,
     bracketed by doubling gamma from 1. F falls with slope
     -L(x*) * (mu0/x* + gamma*s0^2/x*^2), L(x*) = R - c*x* - U_out* (envelope
@@ -133,7 +141,7 @@ def gamma_bar(
     lo, hi = 0.0, 1.0
     while f(hi)[0] > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > gamma_cap:
+        if hi > _GAMMA_CAP:
             return math.inf
     return _newton(f, lo, hi, rel_tol)
 

@@ -143,9 +143,9 @@ class GridSpec:
         return np.linspace(0.0, (n - 1) * self.step, n)
 
 
-def default_grid(params: VendorParams, step: float = 1e-3) -> GridSpec:
-    """Grid covering [0, R/c + 1]; every maximizer of the net utility lies in [0, R/c]."""
-    return GridSpec(x_max=params.rosi + 1.0, step=step)
+def default_grid(params: VendorParams) -> GridSpec:
+    """Grid of step 1e-3 on [0, R/c + 1]; every maximizer of the net utility lies in [0, R/c]."""
+    return GridSpec(x_max=params.rosi + 1.0, step=1e-3)
 
 
 @dataclass(frozen=True)

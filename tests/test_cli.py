@@ -172,6 +172,23 @@ def test_optimal_grid_size_limits(tmp_path):
     assert json.loads(out.read_text())["solution"]["maximizers"] == [0.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--delta-range", "1", "--sigma-range", "1"],
+        ["design", "--mode", "static"],
+        ["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1"],
+    ],
+)
+def test_grid_flags_only_where_a_grid_is_read(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--R", "4", "--c", "1", "--alpha", "0.5", "--grid-step", "0.5",
+                     "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_design_regime_error_exit_code(tmp_path):
     rc = main(
         [

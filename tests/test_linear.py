@@ -9,17 +9,15 @@ from auditopt import (
     RegimeError,
     RosiCase,
     VendorParams,
-    auxiliary_curves,
     capacity_gap_bound,
     design_dynamic_easier_first,
     design_dynamic_harder_first,
     design_static,
-    g_linear,
     g_value,
     tail_value,
     two_step_value,
 )
-from auditopt.linear import rosi_case
+from auditopt.linear import g_linear, rosi_case
 from auditopt.multistep import Audit, backward_induction
 
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
@@ -211,28 +209,14 @@ def test_harder_first_validation():
         design_dynamic_harder_first(VendorParams(R=0.5, c=1.0, alpha=0.5), epsilon=0.01)
 
 
-def test_auxiliary_curves_collapse_when_tests_match():
-    x_g, x_h, _ = auxiliary_curves(1.0, 1.0, P15)
-    static_peak = 1.0 - 1.0 + math.sqrt(3.0)
-    assert x_h == pytest.approx(static_peak, rel=1e-12)
-
-
-def test_auxiliary_curves_frozen_and_stationary():
-    x_g, x_h, h_max = auxiliary_curves(2.0, 1.0, P15)
-    assert x_h == pytest.approx(math.sqrt(4.5), rel=1e-12)
-    from auditopt.linear import overlap_frac, overlap_quad
-
-    eps = 1e-6
-    dh_left = overlap_frac(2.0, 1.0, P15, x_h) - overlap_frac(2.0, 1.0, P15, x_h - eps)
-    dh_right = overlap_frac(2.0, 1.0, P15, x_h + eps) - overlap_frac(2.0, 1.0, P15, x_h)
-    assert dh_left > 0.0 > dh_right
-    assert overlap_frac(2.0, 1.0, P15, x_h) == pytest.approx(h_max, rel=1e-12)
-    dg_left = overlap_quad(2.0, 1.0, P15, x_g) - overlap_quad(2.0, 1.0, P15, x_g - eps)
-    dg_right = overlap_quad(2.0, 1.0, P15, x_g + eps) - overlap_quad(2.0, 1.0, P15, x_g)
-    assert dg_left > 0.0 > dg_right
-    xs = np.linspace(x_g, x_g + 2.0, 50)
-    gs = overlap_quad(2.0, 1.0, P15, xs)
-    assert np.all(np.diff(gs) <= 1e-12)
+def test_harder_first_design_sits_on_its_feasibility_cliff():
+    # both closed-form branches: x is a strict local peak of the two-step
+    # utility, and that peak is worth zero to rounding
+    for eps in (0.01, 0.1, 0.7):
+        d = design_dynamic_harder_first(P15, epsilon=eps)
+        f = lambda x: two_step_value(d.b_prime, d.b, P15, x)
+        assert f(d.x - 1e-6) < f(d.x) > f(d.x + 1e-6), eps
+        assert abs(f(d.x)) <= 1e-12 * P15.R, eps
 
 
 def test_hardness_ordering():

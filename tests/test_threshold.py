@@ -123,6 +123,18 @@ def test_max_opt_out_matches_dense_grid_over_aversion(gamma):
     assert u == pytest.approx(P4.R - 1.0 + excess(x_star), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        LiabilityModel(1e6, 1.0, 1e308),  # the bracket's upper end passes log(float max)
+        LiabilityModel(1.0, 1e-320, 1e-320),  # mu0*x + gamma*s0^2 underflows to 0
+    ],
+)
+def test_max_opt_out_refuses_loss_moments_beyond_float_range(model):
+    with pytest.raises(ValueError, match="loss moments out of range"):
+        max_opt_out_utility(model, P4)
+
+
 def test_max_opt_out_monotone_in_aversion():
     utils = [
         max_opt_out_utility(LiabilityModel(g, 1.0, 1.5), P4)[0]
