@@ -15,6 +15,7 @@ import numpy as np
 from .types import GridSpec, Schedule, TestFunction, VendorParams, default_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET = np.array([0, -1, 1])  # grid offsets of a peak, its left and its right neighbour
 
 
 def g_value(test: TestFunction, params: VendorParams, x):
@@ -76,22 +77,32 @@ def golden_max(f, a, b, tol: float = 1e-9):
     return float(mid) if mid.ndim == 0 else mid
 
 
-def grid_peaks(f, xs: np.ndarray, u: np.ndarray):
-    """Every local maximum of u = f(xs) on the grid, endpoints included, refined.
+def grid_peaks(xs: np.ndarray, u: np.ndarray):
+    """Every local maximum of each row of u on the grid xs, endpoints included.
 
-    Each peak is refined by golden section over its two neighbouring cells,
-    all in one lockstep call, and keeps the best of its grid point, the
-    refined point and its two neighbours (earliest on a tie). Returns the
-    peaks' positions and values.
+    u has shape (k, n), one row per function sampled on xs. Returns each
+    peak's row and its bracket: the grid points (peak, left neighbour, right
+    neighbour), clipped to the grid, and their values, as (m, 3) arrays.
     """
-    n = len(xs)
-    peak = np.ones(n, dtype=bool)
-    peak[1:-1] = (u[1:-1] >= u[:-2]) & (u[1:-1] >= u[2:])
-    i = np.nonzero(peak)[0]
-    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-    x_star = golden_max(f, xs[lo], xs[hi])
-    best_x, best_u = xs[i], u[i]
-    for x, v in ((x_star, f(x_star)), (xs[lo], u[lo]), (xs[hi], u[hi])):
+    n = u.shape[1]
+    peak = np.ones(u.shape, dtype=bool)
+    peak[:, 1:-1] = (u[:, 1:-1] >= u[:, :-2]) & (u[:, 1:-1] >= u[:, 2:])
+    row, i = np.divmod(np.flatnonzero(peak), n)  # np.nonzero is slower on 2-D
+    j = np.minimum(np.maximum(i[:, None] + _BRACKET, 0), n - 1)
+    return row, xs[j], u[row[:, None], j]
+
+
+def refine_peaks(f, bx: np.ndarray, bu: np.ndarray):
+    """Refine the peak brackets of grid_peaks by golden section over their two cells.
+
+    All brackets go through one lockstep golden_max call, so f answers entry
+    by entry, entry i for bracket i. Each peak keeps the best of its grid
+    point, the refined point and its two neighbours (earliest on a tie).
+    Returns the peaks' positions and values.
+    """
+    x_star = golden_max(f, bx[:, 1], bx[:, 2])
+    best_x, best_u = bx[:, 0], bu[:, 0]
+    for x, v in ((x_star, f(x_star)), (bx[:, 1], bu[:, 1]), (bx[:, 2], bu[:, 2])):
         better = v > best_u  # strict, so the earliest candidate wins a tie
         best_x, best_u = np.where(better, x, best_x), np.where(better, v, best_u)
     return best_x, best_u
@@ -135,7 +146,8 @@ def optimal_strategy(
 
     xs = grid.points()
     g = g_value(test, params, xs)
-    peaks, values = grid_peaks(lambda x: g_value(test, params, x), xs, g)
+    _, bx, bu = grid_peaks(xs, g[None])
+    peaks, values = refine_peaks(lambda x: g_value(test, params, x), bx, bu)
     best = float(values.max())
     utility = max(best, 0.0)
 

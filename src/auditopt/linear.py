@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import grid_peaks, optimal_strategy
+from .core import grid_peaks, optimal_strategy, refine_peaks
 from .types import LinearTest, VendorParams
 
 
@@ -167,7 +167,8 @@ def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
     tie_tol are broken toward the largest effort (the designers' convention:
     the auditor credits the highest optimal investment).
     """
-    peaks, values = grid_peaks(f, xs, np.asarray(f(xs), dtype=float))
+    _, bx, bu = grid_peaks(xs, np.asarray(f(xs), dtype=float)[None])
+    peaks, values = refine_peaks(f, bx, bu)
     top = float(values.max())
     return float(peaks[values >= top - tie_tol].max()), top
 
@@ -237,7 +238,7 @@ def design_dynamic_harder_first(params: VendorParams, epsilon: float = 1e-2) -> 
             raise RegimeError("infeasible harder-first design (negative entrance value)")
         x = (R - c) / (a * c)
 
-    x_static = (R - math.sqrt((1.0 - a) * R * c)) / (a * c)
+    x_static = (rosi - math.sqrt((1.0 - a) * rosi)) / a  # design_static's x, without R*c
     if not x < x_static:
         raise RuntimeError("harder-first design unexpectedly beats the static optimum")
     utility = two_step_value(b_prime, b, params, x)

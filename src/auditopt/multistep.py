@@ -20,10 +20,6 @@ class Audit:
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
 
-    @property
-    def is_static(self) -> bool:
-        return len(self.prefix) == 0
-
     def test_at(self, step: int) -> TestFunction:
         return self.prefix[step] if step < len(self.prefix) else self.tail
 

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import optimal_strategy, waiver_cost
-from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, _require_finite
+from .core import g_value, grid_peaks, refine_peaks, waiver_cost
+from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, default_grid
+from .types import _require_finite, _threshold_pass
 
 _EXP_OVERFLOW = 700.0  # exp argument beyond this maps to the +inf sentinel
 _GAMMA_CAP = 1e6  # gamma_bar reports +inf beyond this risk aversion
+_BLOCK_POINTS = 2**15  # grid points per block of cells in the opt-in grid pass
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,12 @@ def liability_loss(model: LiabilityModel, x):
 
 
 def opt_out_utility(model: LiabilityModel, params: VendorParams, x):
-    """Expected utility of releasing without audit: R - c*x - liability loss."""
-    loss = liability_loss(model, x)
-    val = params.R - params.c * np.asarray(x, dtype=float) - loss
+    """Expected utility of releasing without audit: R - c*x - liability loss.
+
+    Overflow is reported as -inf, never raised.
+    """
+    with np.errstate(over="ignore"):  # c*x and the sum overflow at extreme cost and effort
+        val = params.R - params.c * np.asarray(x, dtype=float) - liability_loss(model, x)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -89,7 +94,9 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
             f"loss moments out of range: mu0 = {m}, s0 = {s} (gamma = {g}) "
             "take the first-order condition outside the float range"
         ) from None
-    return opt_out_utility(model, params, x_star), x_star
+    # float arithmetic: opt_out_utility's value without its numpy overhead; an
+    # overflow at extreme cost saturates to -inf without a warning
+    return params.R - params.c * x_star - liability_loss(model, x_star), x_star
 
 
 def _newton(f, lo: float, hi: float, rel_tol: float) -> float:
@@ -112,6 +119,57 @@ def _newton(f, lo: float, hi: float, rel_tol: float) -> float:
     return t
 
 
+def _opt_in_utilities(tests: list, params: VendorParams) -> list:
+    """Opt-in utility max(0, max_x G(x)) of every threshold test, as a list of floats.
+
+    Each value equals optimal_strategy(test, params).utility bit for bit. G
+    is evaluated on the default grid for blocks of tests at once, one row
+    per test and at most _BLOCK_POINTS grid points per block (at least one
+    row); a block keeps only its peak brackets. Every peak of every test is
+    then refined in one lockstep golden_max call.
+    """
+    deltas = np.array([t.delta for t in tests], dtype=float)
+    sigmas = np.array([t.sigma for t in tests], dtype=float)
+    xs = default_grid(params).points()
+    rows = max(1, _BLOCK_POINTS // len(xs))
+    blocks = []
+    for first in range(0, len(deltas), rows):
+        d, s = deltas[first:first + rows, None], sigmas[first:first + rows, None]
+        row, bx, bu = grid_peaks(xs, g_value(lambda x: _threshold_pass(x, d, s), params, xs))
+        blocks.append((row + first, bx, bu))
+    cell, bx, bu = (np.concatenate(parts) for parts in zip(*blocks))
+    d, s = deltas[cell], sigmas[cell]
+    f = lambda x: g_value(lambda y: _threshold_pass(y, d, s), params, x)
+    _, values = refine_peaks(f, bx, bu)
+    # cell ascends, and every cell has a peak (both grid ends are peaks)
+    best = np.maximum.reduceat(values, np.searchsorted(cell, np.arange(len(deltas))))
+    return np.maximum(best, 0.0).tolist()
+
+
+def _indifference(
+    u_in: float, mu0: float, s0: float, params: VendorParams, rel_tol: float
+) -> float:
+    """gamma_bar for the opt-in utility u_in; see gamma_bar.
+
+    Returns the smallest positive float, 5e-324, when Newton collapses onto
+    0: the root is positive (U_out*(0) = R - 1 > u_in) but below every float.
+    """
+    if u_in >= params.R - 1.0:
+        return 0.0
+
+    def f(g: float) -> tuple[float, float]:
+        u_out, x = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
+        loss, r = params.R - params.c * x - u_out, s0 / x
+        return u_out - u_in, -loss * (mu0 / x + g * r * r)
+
+    lo, hi = 0.0, 1.0
+    while f(hi)[0] > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > _GAMMA_CAP:
+            return math.inf
+    return max(_newton(f, lo, hi, rel_tol), math.ulp(0.0))
+
+
 def gamma_bar(
     test: ThresholdTest,
     mu0: float,
@@ -127,23 +185,13 @@ def gamma_bar(
     bracketed by doubling gamma from 1. F falls with slope
     -L(x*) * (mu0/x* + gamma*s0^2/x*^2), L(x*) = R - c*x* - U_out* (envelope
     theorem), and safeguarded Newton stops once a step moves gamma by at most
-    rel_tol * max(1, gamma), or no float is left inside the bracket.
+    rel_tol * max(1, gamma), or no float is left inside the bracket. A root
+    that is positive but below the smallest float is reported as 5e-324,
+    never as 0. U_in* = optimal_strategy(test, params).utility comes from the
+    one-cell case of coverage_grid's lockstep grid pass.
     """
-    u_in = optimal_strategy(test, params).utility
-    if u_in >= params.R - 1.0:
-        return 0.0
-
-    def f(g: float) -> tuple[float, float]:
-        u_out, x = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
-        loss, r = params.R - params.c * x - u_out, s0 / x
-        return u_out - u_in, -loss * (mu0 / x + g * r * r)
-
-    lo, hi = 0.0, 1.0
-    while f(hi)[0] > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > _GAMMA_CAP:
-            return math.inf
-    return _newton(f, lo, hi, rel_tol)
+    u_in = _opt_in_utilities([test], params)[0]
+    return _indifference(u_in, mu0, s0, params, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -156,18 +204,27 @@ class CoverageCell:
 def coverage_grid(
     delta_range, sigma_range, mu0: float, s0: float, params: VendorParams
 ) -> list[CoverageCell]:
-    """gamma_bar over the cartesian product of delta and sigma values, row-major."""
+    """gamma_bar over the cartesian product of delta and sigma values, row-major.
+
+    Every cell equals gamma_bar on its ThresholdTest bit for bit, including
+    the 5e-324 reported for a root below the smallest float. The opt-in
+    utilities of all cells come from one grid pass, in blocks of at most
+    2^15 grid points (at least one cell), and one lockstep golden_max call
+    over every cell's peaks. Only the Newton search for gamma_bar runs cell
+    by cell. Memory grows with the number of cells only by a few floats per
+    cell.
+    """
     deltas = list(delta_range)
     sigmas = list(sigma_range)
     if not deltas or not sigmas:
         raise ValueError("delta and sigma ranges must be non-empty")
     LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before any cell is solved
-    cells = []
-    for d in deltas:
-        for s in sigmas:
-            gb = gamma_bar(ThresholdTest(delta=d, sigma=s), mu0, s0, params)
-            cells.append(CoverageCell(delta=d, sigma=s, gamma_bar=gb))
-    return cells
+    tests = [ThresholdTest(delta=d, sigma=s) for d in deltas for s in sigmas]
+    u_ins = _opt_in_utilities(tests, params)
+    return [
+        CoverageCell(t.delta, t.sigma, _indifference(u_in, mu0, s0, params, rel_tol=1e-9))
+        for t, u_in in zip(tests, u_ins)
+    ]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _threshold_pass(x, delta, sigma):
+    """Phi((x - delta) / sigma), broadcast over x, delta and sigma."""
+    return ndtr((np.asarray(x, dtype=float) - delta) / sigma)
+
+
 @dataclass(frozen=True)
 class VendorParams:
     """Economic primitives: revenue R, marginal investment cost c, discount alpha."""
@@ -78,7 +83,7 @@ class ThresholdTest(TestFunction):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def __call__(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.delta) / self.sigma)
+        return _threshold_pass(x, self.delta, self.sigma)
 
     def to_json(self) -> dict:
         return {"type": "threshold", "delta": self.delta, "sigma": self.sigma}

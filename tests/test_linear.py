@@ -199,6 +199,14 @@ def test_harder_first_second_branch():
     assert d.x < design_static(P15).x
 
 
+def test_harder_first_at_huge_revenue_and_cost():
+    # R*c overflows; the design depends on R/c alone, as at R = c = 1
+    huge = design_dynamic_harder_first(VendorParams(R=1e300, c=1e300, alpha=0.3))
+    unit = design_dynamic_harder_first(VendorParams(R=1.0, c=1.0, alpha=0.3))
+    assert huge.b == pytest.approx(unit.b, rel=1e-12)
+    assert huge.x == pytest.approx(unit.x, rel=1e-12)
+
+
 def test_harder_first_validation():
     for eps in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="epsilon"):

@@ -185,5 +185,3 @@ def test_audit_json_round_trip():
     )
     again = Audit.from_json(audit.to_json())
     assert again == audit
-    assert not audit.is_static
-    assert Audit(prefix=(), tail=ConstantTest(0.2)).is_static

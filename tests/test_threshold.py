@@ -45,6 +45,13 @@ def test_liability_loss_domain_and_overflow():
     assert opt_out_utility(big, P4, 0.1) == -math.inf
 
 
+def test_opt_out_utility_overflow_is_infinite_without_warning():
+    # pytest turns RuntimeWarning into an error, so a numpy overflow warning fails here
+    params = VendorParams(R=2.5, c=1e300, alpha=0.3)
+    assert opt_out_utility(LiabilityModel(1.0, 1e300, 1e-300), params, 1e300) == -math.inf
+    assert max_opt_out_utility(LiabilityModel(1.0, 1e300, 1e-300), params)[0] == -math.inf
+
+
 def test_liability_loss_monotone_in_effort_and_aversion():
     xs = np.linspace(0.2, 5.0, 80)
     m = LiabilityModel(gamma=0.8, mu0=1.0, s0=1.5)
@@ -273,6 +280,69 @@ def test_coverage_grid_monotone_in_delta():
     cells = coverage_grid(deltas, [1.0], 1.0, 1.5, P4)
     vals = [c.gamma_bar for c in cells]
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def assert_sweep_matches_cells(deltas, sigmas, mu0, s0, params):
+    """coverage_grid and its stacked opt-in utilities against cell-by-cell solves, bit for bit."""
+    from auditopt import optimal_strategy
+    from auditopt.threshold import _opt_in_utilities
+
+    tests = [ThresholdTest(float(d), float(s)) for d in deltas for s in sigmas]
+    stacked = _opt_in_utilities(tests, params)
+    assert stacked == [optimal_strategy(t, params).utility for t in tests]
+    cells = coverage_grid(deltas, sigmas, mu0, s0, params)
+    assert [c.gamma_bar for c in cells] == [gamma_bar(t, mu0, s0, params) for t in tests]
+
+
+def test_coverage_grid_matches_cell_by_cell_solves():
+    deltas, sigmas = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 3.0, 7)
+    assert_sweep_matches_cells(deltas, sigmas, 1.0, 1.5, P4)
+
+
+def test_coverage_grid_across_block_boundaries():
+    from auditopt import default_grid
+    from auditopt.threshold import _BLOCK_POINTS
+
+    # 5,001 grid points: 6 cells to a block, so 15 cells end in a partial block
+    assert _BLOCK_POINTS // len(default_grid(P4).points()) == 6
+    assert_sweep_matches_cells([0.5, 1.5, 2.5, 3.0, 3.5], [0.3, 1.0, 2.0], 1.0, 1.5, P4)
+    # 41,001 grid points: one row is larger than a block
+    p40 = VendorParams(R=40.0, c=1.0, alpha=0.5)
+    assert len(default_grid(p40).points()) > _BLOCK_POINTS
+    assert_sweep_matches_cells([0.0, 5.0, 20.0], [0.5, 4.0], 1.0, 1.5, p40)
+
+
+def test_coverage_grid_memory_does_not_grow_with_cells():
+    import tracemalloc
+
+    def peak(deltas):
+        tracemalloc.start()
+        try:
+            coverage_grid(deltas, np.linspace(0.1, 3.0, 6), 1.0, 1.5, P4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(np.linspace(0.0, 3.0, 10)) <= 1.5 * peak([1.0])
+
+
+def test_gamma_bar_root_below_float_range_is_not_full_coverage():
+    # at these loss moments U_out*(5e-324) = -inf, so in every cell short of
+    # R - 1 the indifference root lies below the smallest positive float
+    from auditopt import optimal_strategy
+
+    cells = coverage_grid([0.0, 1.0, 3.0], [0.1, 1.0], 1e308, 1e308, P4)
+    full = 0
+    for cell in cells:
+        test = ThresholdTest(cell.delta, cell.sigma)
+        gb = gamma_bar(test, 1e308, 1e308, P4)
+        assert cell.gamma_bar == gb
+        if optimal_strategy(test, P4).utility >= P4.R - 1.0:
+            full += 1
+            assert gb == 0.0
+        else:
+            assert gb == math.ulp(0.0)
+    assert full == 1
 
 
 def test_ca_shape_constant_test_is_flat():
