@@ -22,7 +22,7 @@ from .linear import (
 from .multistep import Audit, PreconditionError, approximation_study
 from .sim import evaluate_schedule, simulate
 from .threshold import coverage_grid
-from .types import GridSpec, Schedule, TestFunction, VendorParams
+from .types import MAX_GRID_POINTS, GridSpec, Schedule, TestFunction, VendorParams
 
 CONFIG_ERROR = 2
 REGIME_ERROR = 3
@@ -129,7 +129,8 @@ def _parse_range(spec: str, name: str) -> list:
 
 
 def _parse_schedule(spec: str) -> Schedule:
-    """Switch-time/level pairs 't0:x0,t1:x1,...'; t0 must be 0."""
+    """Switch-time/level pairs 't0:x0,t1:x1,...'; t0 must be 0, and the
+    schedule, one level per step, may have at most MAX_GRID_POINTS steps."""
     try:
         pairs = sorted(
             (int(p.split(":")[0]), float(p.split(":")[1])) for p in spec.split(",") if p
@@ -139,6 +140,9 @@ def _parse_schedule(spec: str) -> Schedule:
     if not pairs or pairs[0][0] != 0:
         raise ConfigError("schedule: must start with a t=0 level")
     horizon = pairs[-1][0] + 1
+    if horizon > MAX_GRID_POINTS:
+        raise ConfigError(f"schedule: switch time {pairs[-1][0]} gives more than "
+                          f"{MAX_GRID_POINTS} steps")
     levels = []
     k = 0
     for t in range(horizon):

@@ -188,8 +188,10 @@ def gamma_bar(
     rel_tol * max(1, gamma), or no float is left inside the bracket. A root
     that is positive but below the smallest float is reported as 5e-324,
     never as 0. U_in* = optimal_strategy(test, params).utility comes from the
-    one-cell case of coverage_grid's lockstep grid pass.
+    one-cell case of coverage_grid's lockstep grid pass. Loss moments that
+    are not finite and positive raise ValueError, at full coverage too.
     """
+    LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before the full-coverage shortcut
     u_in = _opt_in_utilities([test], params)[0]
     return _indifference(u_in, mu0, s0, params, rel_tol)
 

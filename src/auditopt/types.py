@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 MAX_GRID_POINTS = 10**7  # 80 MB per float array over the grid
@@ -18,9 +18,17 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+@functools.cache
+def _ndtr():
+    """scipy.special.ndtr, imported on first use: most commands never evaluate Phi."""
+    from scipy.special import ndtr
+
+    return ndtr
+
+
 def _threshold_pass(x, delta, sigma):
     """Phi((x - delta) / sigma), broadcast over x, delta and sigma."""
-    return ndtr((np.asarray(x, dtype=float) - delta) / sigma)
+    return _ndtr()((np.asarray(x, dtype=float) - delta) / sigma)
 
 
 @dataclass(frozen=True)

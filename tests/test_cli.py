@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -429,16 +430,76 @@ def test_simulate_exit_code_contract(tmp_path_factory, R, c, alpha, test, test_a
         assert math.isfinite(doc["result"]["mean"]) and math.isfinite(doc["analytic"])
 
 
-def test_simulate_overflow_leaves_only_the_error_on_stderr(tmp_path):
-    # finite inputs whose utilities overflow: refused by the JSON writer, with
-    # no numpy warning on the way
+def test_simulate_refuses_a_schedule_longer_than_the_grid_cap(tmp_path):
+    # one level per step: a switch time of 10^9 would need about 16 GB
+    out = tmp_path / "s.json"
+    start = time.perf_counter()
+    rc = main(["simulate", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "constant",
+               "--p", "1", "--schedule", "0:1,1000000000:2", "--out", str(out)])
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+def run_python(*args):
+    """Run a fresh interpreter with args, importing auditopt from src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import auditopt\n" + SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--mode", "static", "--R", "4", "--c", "1", "--alpha", "0.5"],
+        ["optimal", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "linear", "--b", "3"],
+    ],
+)
+def test_commands_without_a_threshold_test_load_no_scipy(tmp_path, argv):
+    code = ("import sys\nfrom auditopt.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n" + SCIPY_LOADED)
+    proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "out.json").exists()
+
+
+def test_first_threshold_evaluation_is_ndtr_bit_for_bit():
+    code = """
+import numpy as np
+from auditopt import ThresholdTest
+test = ThresholdTest(1.25, 0.7)
+xs = [np.array(0.3), np.linspace(-2.0, 6.0, 5001)]
+first = [test(x) for x in xs]  # scipy is loaded by the first call
+from scipy.special import ndtr
+for x, p in zip(xs, first):
+    expected = ndtr((x - 1.25) / 0.7)
+    assert (p.dtype, np.shape(p)) == (expected.dtype, np.shape(expected))
+    assert p.tobytes() == expected.tobytes()
+print("ok")
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_simulate_overflow_leaves_only_the_error_on_stderr(tmp_path):
+    # finite inputs whose utilities overflow: refused by the JSON writer, with
+    # no numpy warning on the way
     argv = ["simulate", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "constant",
             "--p", "0.5", "--schedule", "0:0.5,1:1e300", "--out", str(tmp_path / "s.json")]
-    proc = subprocess.run([sys.executable, "-m", "auditopt.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_python("-m", "auditopt.cli", *argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: inputs out of range: a result is not finite\n"
     assert not (tmp_path / "s.json").exists()

@@ -156,6 +156,20 @@ def test_gamma_bar_full_coverage_branch():
     assert gamma_bar(ThresholdTest(0.0, 0.01), 1.0, 1.5, P4) == 0.0
 
 
+@pytest.mark.parametrize(
+    "mu0, s0",
+    [(-1.0, 1.5), (1.0, -1.5), (0.0, 1.5), (math.nan, 1.5), (1.0, math.nan),
+     (math.inf, 1.5), (1.0, math.inf), (-1.0, math.nan)],
+)
+def test_gamma_bar_rejects_bad_loss_moments_at_full_coverage(mu0, s0):
+    # the full-coverage cell never reaches the opt-out solver, yet the
+    # moments are checked as coverage_grid checks them
+    with pytest.raises(ValueError):
+        gamma_bar(ThresholdTest(0.0, 0.01), mu0, s0, P4)
+    with pytest.raises(ValueError):
+        coverage_grid([0.0], [0.01], mu0, s0, P4)
+
+
 def test_gamma_bar_frozen_value_and_indifference():
     test = ThresholdTest(3.0, 1.0)
     gb = gamma_bar(test, 1.0, 1.5, P4)
