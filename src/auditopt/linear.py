@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import grid_peaks, optimal_strategy, refine_peaks
-from .types import LinearTest, VendorParams
+from .core import grid_peaks, refine_peaks
+from .types import VendorParams
 
 
 class RegimeError(ValueError):
@@ -44,7 +44,7 @@ def g_linear(b, params: VendorParams, x):
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     c, R, a = params.c, params.R, params.alpha
-    t = np.clip(x - b, 0.0, 1.0)
+    t = np.minimum(np.maximum(x - b, 0.0), 1.0)
     val = -c * x + R * t / (1.0 - a + a * t)
     return float(val) if val.ndim == 0 else val
 
@@ -74,30 +74,25 @@ class LinearDesign:
 
 
 def _static_closed_form(params: VendorParams) -> tuple[RosiCase, float, float]:
-    c, R, a = params.c, params.R, params.alpha
+    rosi, a = params.rosi, params.alpha
     case = rosi_case(params)
     if case is RosiCase.LOW:
         # entrance value is arbitrary here; 0 keeps the output deterministic
         return case, 0.0, 0.0
     if case is RosiCase.MID:
-        b = (math.sqrt(R) - math.sqrt((1.0 - a) * c)) ** 2 / (a * c)
-        x = (R - math.sqrt((1.0 - a) * R * c)) / (a * c)
+        b = (math.sqrt(rosi) - math.sqrt(1.0 - a)) ** 2 / a
+        x = (rosi - math.sqrt((1.0 - a) * rosi)) / a
         return case, b, x
-    return case, R / c - 1.0, R / c
+    return case, rosi - 1.0, rosi
 
 
 def design_static(params: VendorParams) -> LinearDesign:
     """Entrance value maximizing the investment a static linear audit can induce."""
     case, b, x = _static_closed_form(params)
-    utility = g_linear(b, params, x) if case is not RosiCase.LOW else 0.0
-
-    verified = True
-    if case is not RosiCase.LOW:
-        sol = optimal_strategy(LinearTest(b), params)
-        verified = (
-            abs(max(sol.maximizers) - x) <= 1e-6 and g_linear(b, params, x) >= -1e-9
-        )
-    return LinearDesign(case=case, b=b, x=x, utility=float(utility), verified=verified)
+    f = lambda y: g_linear(b, params, y)
+    # below R/c = 1 - alpha every G^b falls from x = 0, so there is nothing to search
+    verified = case is RosiCase.LOW or _best_response(f, x, params.rosi + 1.0, params)
+    return LinearDesign(case=case, b=b, x=x, utility=float(f(x)), verified=verified)
 
 
 def capacity_gap_bound(params: VendorParams) -> float:
@@ -132,20 +127,19 @@ def tail_value(b, params: VendorParams, x):
     if rosi >= 1.0 / (1.0 - a):
         # passing for sure at b+1 dominates the middle branch
         plateau = R - c * (b + 1.0)
-        val = np.select(
-            [x < b + 1.0 - rosi, x < b + 1.0],
-            [-c * x, plateau * np.ones_like(x * b)],
-            default=R - c * x,
+        val = np.where(
+            x < b + 1.0 - rosi, -c * x, np.where(x < b + 1.0, plateau, R - c * x)
         )
     else:
         s1r = b - (math.sqrt(R / (a * c)) - math.sqrt(abar)) ** 2
         s2r = b - abar + math.sqrt(abar * R / (a * c))
         plateau = (math.sqrt(R / a) - math.sqrt(abar * c)) ** 2 - b * c
-        t = np.clip(x - b, 0.0, 1.0)
-        val = np.select(
-            [x < s1r, x < s2r, x < b + 1.0],
-            [-c * x, plateau * np.ones_like(x * b), -c * x + t * R / (1.0 - a + a * t)],
-            default=R - c * x,
+        t = np.minimum(np.maximum(x - b, 0.0), 1.0)
+        ramp = -c * x + t * R / (1.0 - a + a * t)
+        val = np.where(
+            x < s1r,
+            -c * x,
+            np.where(x < s2r, plateau, np.where(x < b + 1.0, ramp, R - c * x)),
         )
     return float(val) if np.ndim(val) == 0 else val
 
@@ -154,7 +148,7 @@ def two_step_value(b_prime, b, params: VendorParams, x):
     """Vendor utility of investing x, facing test b' once then the static b audit."""
     x = np.asarray(x, dtype=float)
     c, R, a = params.c, params.R, params.alpha
-    pp = np.clip(x - np.asarray(b_prime, dtype=float), 0.0, 1.0)
+    pp = np.minimum(np.maximum(x - np.asarray(b_prime, dtype=float), 0.0), 1.0)
     val = -(1.0 - a + a * pp) * c * x + pp * R + a * (1.0 - pp) * tail_value(b, params, x)
     return float(val) if val.ndim == 0 else val
 
@@ -173,12 +167,16 @@ def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
     return float(peaks[values >= top - tie_tol].max()), top
 
 
-def _two_step_argmax(b_prime: float, b: float, params: VendorParams):
-    """Largest numerical argmax of the two-step utility (1e-3 grid + refinement)."""
-    x_hi = max(b, b_prime) + 2.0
+def _best_response(f, x: float, x_hi: float, params: VendorParams) -> bool:
+    """Whether the vendor facing utility f chooses the design's investment x.
+
+    One 1e-3 grid pass over [0, x_hi], every peak refined; ties within
+    1e-9 * max(1, R) go to the largest effort. x passes when that largest
+    maximizer lies within 1e-6 of it and is worth at least -1e-9.
+    """
     xs = np.arange(0.0, x_hi + 1e-3, 1e-3)
-    f = lambda x: two_step_value(b_prime, b, params, x)
-    return argmax_largest_tie(f, xs)
+    x_num, u_num = argmax_largest_tie(f, xs, tie_tol=1e-9 * max(1.0, params.R))
+    return abs(x_num - x) <= 1e-6 and u_num >= -1e-9
 
 
 def design_dynamic_easier_first(params: VendorParams) -> LinearDesign:
@@ -195,54 +193,53 @@ def design_dynamic_easier_first(params: VendorParams) -> LinearDesign:
     b = R / c + (math.sqrt(R / (a * c)) - math.sqrt((1.0 - a) / a)) ** 2
     b_prime = R / c - 1.0
     x = R / c
-
-    x_num, u_num = _two_step_argmax(b_prime, b, params)
-    verified = abs(x_num - x) <= 1e-6 and u_num >= -1e-9
-    utility = two_step_value(b_prime, b, params, x)
+    f = lambda y: two_step_value(b_prime, b, params, y)
     return LinearDesign(
-        case=RosiCase.MID, b=b, b_prime=b_prime, x=x, utility=float(utility), verified=verified
+        case=RosiCase.MID, b=b, b_prime=b_prime, x=x, utility=float(f(x)),
+        verified=_best_response(f, x, b + 2.0, params),  # b > b_prime
     )
 
 
 def design_dynamic_harder_first(params: VendorParams, epsilon: float = 1e-2) -> LinearDesign:
-    """Harder first test (b' = b + epsilon or more), easier repeated tail.
+    """Harder first test b' = b + epsilon, easier repeated tail b.
 
-    Always induces strictly less investment than the static optimum; the
-    returned design is the constrained best given the minimum test gap.
+    The vendor either climbs the first test's ramp to its peak or puts in
+    zero effort, fails the first test and waits for the tail. b is the
+    largest entrance value at which the peak is worth at least zero and at
+    least that zero-effort deviation, so the design always induces strictly
+    less investment than the static optimum. Raises RegimeError when no
+    such audit induces effort.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(
             f"epsilon must lie in (0, 1] (the first test must overlap b..b+1), got {epsilon}"
         )
-    c, R, a = params.c, params.R, params.alpha
-    rosi = params.rosi
+    a, rosi = params.alpha, params.rosi
     if not (1.0 - a) < rosi < 1.0 / (1.0 - a):
         raise RegimeError(
             "harder-first design needs 1-alpha < R/c < 1/(1-alpha); "
             f"got R/c = {rosi}"
         )
     abar = (1.0 - a) / a
-    gap_switch = c / (a * (1.0 - a) * R) - 1.0 / a
-
-    if rosi < 1.0 / (1.0 - a * a) or epsilon < gap_switch:
-        root = math.sqrt(abar * R / (a * c) + abar * R * epsilon / c)
-        b = abar + R / (a * c) - 2.0 * root
-        if b < 0:
-            raise RegimeError("epsilon too large: no feasible harder-first design")
-        b_prime = b + epsilon
-        x = b - abar + root
+    root = math.sqrt(abar * rosi / a + abar * rosi * epsilon)
+    k = min(root - abar, 1.0)  # height of the vendor's ramp peak above b
+    # b0 puts the peak's value at zero; raising b lowers it by c per unit, and
+    # the zero-effort value alpha*max(0, K - c*b) by alpha*c while positive
+    if k < 1.0:
+        b0 = abar + rosi / a - 2.0 * root
     else:
-        b = (R - (1.0 + a) * c) / (a * c)
-        b_prime = R / (a * c) + c / (a * (1.0 - a) * R) - (2.0 + a) / a
-        if b < 0:
-            raise RegimeError("infeasible harder-first design (negative entrance value)")
-        x = (R - c) / (a * c)
+        b0 = rosi * (1.0 - epsilon * (1.0 - a)) - 1.0
+    k_over_c = (math.sqrt(rosi / a) - math.sqrt(abar)) ** 2  # tail_value's plateau at b = 0
+    b = min(b0, (b0 - a * k_over_c) / (1.0 - a))
+    if b < 0:
+        raise RegimeError(f"no harder-first audit with epsilon = {epsilon} induces effort")
+    b_prime = b + epsilon
+    x = b + k
 
-    x_static = (rosi - math.sqrt((1.0 - a) * rosi)) / a  # design_static's x, without R*c
-    if not x < x_static:
+    if not x < _static_closed_form(params)[2]:
         raise RuntimeError("harder-first design unexpectedly beats the static optimum")
-    utility = two_step_value(b_prime, b, params, x)
+    f = lambda y: two_step_value(b_prime, b, params, y)
     return LinearDesign(
-        case=rosi_case(params), b=b, b_prime=b_prime, x=x, utility=float(utility), verified=True
+        case=rosi_case(params), b=b, b_prime=b_prime, x=x, utility=float(f(x)),
+        verified=_best_response(f, x, b_prime + 2.0, params),
     )
-

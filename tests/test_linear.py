@@ -78,6 +78,16 @@ def test_design_static_mid_rosi_frozen():
     assert d.verified
 
 
+def test_design_static_at_huge_revenue_and_cost():
+    # R*c overflows; the design depends on R/c alone, as at R = c = 1
+    huge = design_static(VendorParams(R=1e300, c=1e300, alpha=0.3))
+    unit = design_static(VendorParams(R=1.0, c=1.0, alpha=0.3))
+    assert huge.case is unit.case
+    assert huge.b == pytest.approx(unit.b, rel=1e-12)
+    assert huge.x == pytest.approx(unit.x, rel=1e-12)
+    assert huge.verified and unit.verified
+
+
 def test_capacity_gap_bound_values():
     assert capacity_gap_bound(P15) == 0.5
     p = VendorParams(R=1.0, c=1.0, alpha=0.25)
@@ -174,14 +184,28 @@ def test_easier_first_regime_errors():
         design_dynamic_easier_first(VendorParams(R=0.9, c=1.0, alpha=0.5))
 
 
+# Harder-first values below come from bisecting the tail entrance b, with
+# b' = b + epsilon, on whether the largest maximizer of the two-step utility
+# (20,001-point grid on [0, b' + 2] plus golden refinement, ties within
+# 1e-9 * max(1, R)) is positive; the designer is never called. That search
+# overshoots the cliff by at most tie / (c * (1 - alpha)), hence abs=1e-7.
+
+
 def test_harder_first_design_frozen():
     d = design_dynamic_harder_first(P15, epsilon=0.01)
-    b_expect = 1.0 + 3.0 - 2.0 * math.sqrt(3.0 + 1.5 * 0.01)
-    assert d.b == pytest.approx(0.5272489291629321, rel=1e-10)
-    assert d.b == pytest.approx(b_expect, rel=1e-10)
+    assert d.b == pytest.approx(0.5185994764636193, abs=1e-7)
     assert d.b_prime == pytest.approx(d.b + 0.01, rel=1e-12)
-    assert d.x == pytest.approx(1.263624464581466, rel=1e-10)
+    assert d.x == pytest.approx(1.2549750099991144, abs=1e-7)
+    assert d.verified
     assert d.x < design_static(P15).x
+
+
+def test_harder_first_is_the_best_response_at_the_readme_point():
+    d = design_dynamic_harder_first(P15, epsilon=0.01)
+    ys = np.arange(0.0, d.b_prime + 2.0, 1e-4)
+    u_x = two_step_value(d.b_prime, d.b, P15, d.x)
+    assert np.all(two_step_value(d.b_prime, d.b, P15, ys) <= u_x + 1e-9)
+    assert d.verified
 
 
 def test_harder_first_epsilon_limit_recovers_static_peak():
@@ -190,13 +214,17 @@ def test_harder_first_epsilon_limit_recovers_static_peak():
     assert d.x == pytest.approx(x_bar_at_b, abs=1e-5)
 
 
-def test_harder_first_second_branch():
-    # large separation forces the incentive-bound branch
-    d = design_dynamic_harder_first(P15, epsilon=0.7)
-    assert d.b == pytest.approx((1.5 - 1.5) / 0.5, abs=1e-12)
-    assert d.b_prime == pytest.approx(3.0 + 1.0 / 0.375 - 5.0, rel=1e-10)
-    assert d.x == pytest.approx((1.5 - 1.0) / 0.5, rel=1e-12)
-    assert d.x < design_static(P15).x
+def test_harder_first_wide_gap():
+    # at epsilon = 0.7 zero effort beats every ramp peak the audit can offer
+    with pytest.raises(RegimeError):
+        design_dynamic_harder_first(P15, epsilon=0.7)
+    # the ramp peak sits at its corner x = b + 1
+    p = VendorParams(R=4.109, c=1.0, alpha=0.79)
+    d = design_dynamic_harder_first(p, epsilon=0.722)
+    assert d.b == pytest.approx(0.11824226967978106, abs=1e-7)
+    assert d.x == pytest.approx(d.b + 1.0, rel=1e-12)
+    assert d.verified
+    assert d.x < design_static(p).x
 
 
 def test_harder_first_at_huge_revenue_and_cost():
@@ -218,13 +246,14 @@ def test_harder_first_validation():
 
 
 def test_harder_first_design_sits_on_its_feasibility_cliff():
-    # both closed-form branches: x is a strict local peak of the two-step
-    # utility, and that peak is worth zero to rounding
-    for eps in (0.01, 0.1, 0.7):
-        d = design_dynamic_harder_first(P15, epsilon=eps)
-        f = lambda x: two_step_value(d.b_prime, d.b, P15, x)
+    # x is a strict local peak of the two-step utility, worth exactly what
+    # zero effort is worth (fail the first test, then wait for the tail)
+    cases = [(P15, 0.01), (P15, 0.1), (VendorParams(R=4.109, c=1.0, alpha=0.79), 0.722)]
+    for params, eps in cases:
+        d = design_dynamic_harder_first(params, epsilon=eps)
+        f = lambda x: two_step_value(d.b_prime, d.b, params, x)
         assert f(d.x - 1e-6) < f(d.x) > f(d.x + 1e-6), eps
-        assert abs(f(d.x)) <= 1e-12 * P15.R, eps
+        assert abs(f(d.x) - f(0.0)) <= 1e-12 * params.R, eps
 
 
 def test_hardness_ordering():
