@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import grid_peaks, refine_peaks
-from .types import VendorParams
+from .types import GridSpec, VendorParams
 
 
 class RegimeError(ValueError):
@@ -172,9 +172,10 @@ def _best_response(f, x: float, x_hi: float, params: VendorParams) -> bool:
 
     One 1e-3 grid pass over [0, x_hi], every peak refined; ties within
     1e-9 * max(1, R) go to the largest effort. x passes when that largest
-    maximizer lies within 1e-6 of it and is worth at least -1e-9.
+    maximizer lies within 1e-6 of it and is worth at least -1e-9. GridSpec
+    refuses, with ValueError, a range wider than MAX_GRID_POINTS steps.
     """
-    xs = np.arange(0.0, x_hi + 1e-3, 1e-3)
+    xs = GridSpec(x_max=x_hi, step=1e-3).points()
     x_num, u_num = argmax_largest_tie(f, xs, tie_tol=1e-9 * max(1.0, params.R))
     return abs(x_num - x) <= 1e-6 and u_num >= -1e-9
 

@@ -441,6 +441,23 @@ def test_simulate_refuses_a_schedule_longer_than_the_grid_cap(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the static best-response check would need a 1e8-point grid over [0, R/c + 1]
+        ["--mode", "static", "--R", "1e5", "--c", "1", "--alpha", "0.5"],
+        # R/c inside harder-first's band, whose check grid would cover [0, b' + 2]
+        ["--mode", "harder-first", "--R", "1e5", "--c", "1", "--alpha", "0.999999"],
+    ],
+)
+def test_design_refuses_a_check_grid_beyond_the_cap(tmp_path, argv):
+    out = tmp_path / "d.json"
+    start = time.perf_counter()
+    assert main(["design", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
 def run_python(*args):
     """Run a fresh interpreter with args, importing auditopt from src/."""
     src = Path(__file__).resolve().parents[1] / "src"

@@ -196,6 +196,16 @@ def test_harder_first_design_frozen():
     assert d.b == pytest.approx(0.5185994764636193, abs=1e-7)
     assert d.b_prime == pytest.approx(d.b + 0.01, rel=1e-12)
     assert d.x == pytest.approx(1.2549750099991144, abs=1e-7)
+    # the closed form written out: b0 zeroes the ramp peak's value, and the
+    # zero-effort plateau alpha*(K - c*b) then lowers b to where both tie
+    a, rosi, eps = P15.alpha, P15.rosi, 0.01
+    abar = (1.0 - a) / a
+    root = math.sqrt(abar * rosi / a + abar * rosi * eps)
+    b0 = abar + rosi / a - 2.0 * root
+    k_over_c = (math.sqrt(rosi / a) - math.sqrt(abar)) ** 2
+    b_expect = (b0 - a * k_over_c) / (1.0 - a)
+    assert d.b == pytest.approx(b_expect, rel=1e-12)
+    assert d.x == pytest.approx(b_expect + root - abar, rel=1e-12)
     assert d.verified
     assert d.x < design_static(P15).x
 
