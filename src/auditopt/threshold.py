@@ -7,6 +7,7 @@ sweeps over (delta, sigma), and the shape analysis of the waiver cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,35 +66,39 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
 
     For gamma = 0 the supremum R - 1 is approached as x -> 0 and is returned
     with x_star = 0. For gamma > 0 the utility is concave, and its maximizer
-    is the root of the first-order condition
-    c = L(x) * (gamma*mu0/x^2 + gamma^2*s0^2/x^3), whose right side falls
-    from +inf to 0. Safeguarded Newton finds the root in log x on the log of
-    that condition, which neither overflows nor underflows for any finite gamma.
-    Loss moments so far out that the search leaves the float range raise
-    ValueError.
+    is the root of the first-order condition c = L(x) * (a/x^2 + b^2/x^3),
+    with a = gamma*mu0 and b = gamma*s0, whose right side falls from +inf to
+    0. Safeguarded Newton finds the root in log x on the log of that
+    condition. The condition depends on the model only through a and b, so
+    it neither overflows nor underflows while a, b and b^2/a are normal
+    floats; loss moments that take them outside that range raise ValueError.
     """
     if model.gamma == 0.0:
         return params.R - 1.0, 0.0
-    g, m, s = model.gamma, model.mu0, model.s0
-    log_g, log_c = math.log(g), math.log(params.c)
+    a, b = model.gamma * model.mu0, model.gamma * model.s0
+    k = b * (b / a)  # the effort at which a/x^2 = b^2/x^3
+    out_of_range = ValueError(
+        f"loss moments out of range: mu0 = {model.mu0}, s0 = {model.s0} "
+        f"(gamma = {model.gamma}) take the first-order condition outside the float range"
+    )
+    if not (min(a, b) >= sys.float_info.min and a + b + k < math.inf):
+        raise out_of_range
+    log_a, log_c = math.log(a), math.log(params.c)
 
     def h(t: float) -> tuple[float, float]:  # log(right side / c) at x = e^t, and its slope
         x = math.exp(t)
-        r = g * s / x
-        value = g * m / x + 0.5 * r * r + log_g + math.log(m * x + g * s * s) - 3.0 * t - log_c
-        return value, -g * m / x - r * r + m * x / (m * x + g * s * s) - 3.0
+        r = b / x
+        value = a / x + 0.5 * r * r + log_a + math.log(x + k) - 3.0 * t - log_c
+        return value, -a / x - r * r + x / (x + k) - 3.0
 
-    # the right side exceeds gamma*mu0/x^2 everywhere, and for x >= gamma*max(mu0, s0),
-    # where L(x) <= e^1.5, it is below 4.5*gamma*(mu0 + s0)/x^2
-    lo = 0.5 * (log_g + math.log(m) - log_c)
-    hi = max(log_g + math.log(max(m, s)), 0.5 * (math.log(5.0) + log_g + math.log(m + s) - log_c))
+    # the right side exceeds a/x^2 everywhere, and for x >= max(a, b), where
+    # L(x) <= e^1.5, it is below 4.5*(a + b)/x^2
+    lo = 0.5 * (log_a - log_c)
+    hi = max(math.log(max(a, b)), 0.5 * (math.log(5.0) + math.log(a + b) - log_c))
     try:
         x_star = math.exp(_newton(h, lo, hi, 1e-12))
-    except (OverflowError, ValueError):  # math.exp overflowed, or math.log met 0
-        raise ValueError(
-            f"loss moments out of range: mu0 = {m}, s0 = {s} (gamma = {g}) "
-            "take the first-order condition outside the float range"
-        ) from None
+    except OverflowError:  # math.exp met an effort beyond float max (extreme cost)
+        raise out_of_range from None
     # float arithmetic: opt_out_utility's value without its numpy overhead; an
     # overflow at extreme cost saturates to -inf without a warning
     return params.R - params.c * x_star - liability_loss(model, x_star), x_star
@@ -146,54 +151,69 @@ def _opt_in_utilities(tests: list, params: VendorParams) -> list:
     return np.maximum(best, 0.0).tolist()
 
 
-def _indifference(
-    u_in: float, mu0: float, s0: float, params: VendorParams, rel_tol: float
-) -> float:
+def _indifference(u_in: float, mu0: float, s0: float, params: VendorParams) -> float:
     """gamma_bar for the opt-in utility u_in; see gamma_bar.
 
-    Returns the smallest positive float, 5e-324, when Newton collapses onto
-    0: the root is positive (U_out*(0) = R - 1 > u_in) but below every float.
+    At gamma_bar the opt-out optimum x meets two conditions. Indifference
+    fixes the loss L = R - c*x - u_in, and the loss exponent
+    gamma*mu0/x + gamma^2*s0^2/(2*x^2) = q = log L then gives gamma in closed
+    form, gamma = 2*x*q/(w + mu0) with w = sqrt(mu0^2 + 2*s0^2*q). The
+    first-order condition becomes 2*L*q*w = c*x*(w + mu0), with no exp and no
+    inner solve. With y = R - 1 - u_in its root in u = c*x lies in (y/2, y):
+    at y/2, (1 + u)*log(1 + u) > u and w > mu0 make the left side larger, and
+    at y, q = 0. One safeguarded Newton finds it in log u on the log of the
+    condition and stops at float resolution. Both moments are divided by
+    the larger one, so moments anywhere in the float range neither overflow
+    nor give NaN, and gamma(k*mu0, k*s0) = gamma(mu0, s0)/k holds bit for bit
+    for k a power of 2 while gamma and both moments are normal floats.
     """
-    if u_in >= params.R - 1.0:
+    y = params.R - 1.0 - u_in
+    if y <= 0.0:
         return 0.0
+    scale = max(mu0, s0)
+    m, s = mu0 / scale, s0 / scale
 
-    def f(g: float) -> tuple[float, float]:
-        u_out, x = max_opt_out_utility(LiabilityModel(g, mu0, s0), params)
-        loss, r = params.R - params.c * x - u_out, s0 / x
-        return u_out - u_in, -loss * (mu0 / x + g * r * r)
+    def terms(t: float) -> tuple[float, float, float]:  # u = e^t, q = log L and w/scale
+        u = math.exp(t)
+        q = math.log1p(y - u)
+        return u, q, math.hypot(m, s * math.sqrt(2.0 * max(q, 0.0)))
 
-    lo, hi = 0.0, 1.0
-    while f(hi)[0] > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > _GAMMA_CAP:
-            return math.inf
-    return max(_newton(f, lo, hi, rel_tol), math.ulp(0.0))
+    def h(t: float) -> tuple[float, float]:  # log(2*L*q*w / (u*(w + mu0))) and its slope
+        u, q, w = terms(t)
+        if not q > 0.0:  # u rounds to y, the right end of the bracket
+            return -math.inf, -1.0
+        value = q + math.log(2.0 * q) - t - math.log1p(m / w)
+        return value, -1.0 - u / (1.0 + (y - u)) * (1.0 + 1.0 / q + m * s * s / (w * w * (w + m)))
+
+    u, q, w = terms(_newton(h, math.log(0.5 * y), math.log(y), sys.float_info.epsilon))
+    # gamma = 2*q/(m + w) * u/(c*scale), with the powers of 2 of u, c and scale
+    # kept apart so that no step overflows or underflows
+    (fu, eu), (fc, ec), (fs, es) = math.frexp(u), math.frexp(params.c), math.frexp(scale)
+    try:
+        gamma = math.ldexp(2.0 * q / (m + w) * fu / (fc * fs), eu - ec - es)
+    except OverflowError:
+        return math.inf
+    return math.inf if gamma > _GAMMA_CAP else max(gamma, math.ulp(0.0))
 
 
-def gamma_bar(
-    test: ThresholdTest,
-    mu0: float,
-    s0: float,
-    params: VendorParams,
-    rel_tol: float = 1e-9,
-) -> float:
+def gamma_bar(test: ThresholdTest, mu0: float, s0: float, params: VendorParams) -> float:
     """Risk-aversion level at which opting in and opting out are indifferent.
 
     Returns 0 when the audit already beats the best possible opt-out utility
-    (full coverage), +inf when no gamma below 1e6 makes the vendor
-    participate, and otherwise the root of F(gamma) = U_out*(gamma) - U_in*,
-    bracketed by doubling gamma from 1. F falls with slope
-    -L(x*) * (mu0/x* + gamma*s0^2/x*^2), L(x*) = R - c*x* - U_out* (envelope
-    theorem), and safeguarded Newton stops once a step moves gamma by at most
-    rel_tol * max(1, gamma), or no float is left inside the bracket. A root
-    that is positive but below the smallest float is reported as 5e-324,
-    never as 0. U_in* = optimal_strategy(test, params).utility comes from the
-    one-cell case of coverage_grid's lockstep grid pass. Loss moments that
-    are not finite and positive raise ValueError, at full coverage too.
+    (full coverage), +inf when the indifference level exceeds 1e6 (the
+    vendor practically never participates), and otherwise the root of
+    U_out*(gamma) = U_in*. It comes from one scalar root in the opt-out
+    effort, where the loss exponent gives gamma in closed form, solved to
+    float resolution; no opt-out solve runs inside it. gamma_bar scales as
+    1/mu0 at a fixed ratio s0/mu0. A root that is positive but below the
+    smallest float is reported as 5e-324, never as 0. U_in* =
+    optimal_strategy(test, params).utility comes from the one-cell case of
+    coverage_grid's lockstep grid pass. Loss moments that are not finite and
+    positive raise ValueError, at full coverage too.
     """
     LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before the full-coverage shortcut
     u_in = _opt_in_utilities([test], params)[0]
-    return _indifference(u_in, mu0, s0, params, rel_tol)
+    return _indifference(u_in, mu0, s0, params)
 
 
 @dataclass(frozen=True)
@@ -212,9 +232,9 @@ def coverage_grid(
     the 5e-324 reported for a root below the smallest float. The opt-in
     utilities of all cells come from one grid pass, in blocks of at most
     2^15 grid points (at least one cell), and one lockstep golden_max call
-    over every cell's peaks. Only the Newton search for gamma_bar runs cell
-    by cell. Memory grows with the number of cells only by a few floats per
-    cell.
+    over every cell's peaks. Then each cell's gamma_bar is one scalar root of
+    a few evaluations, with no opt-out solve. Memory grows with the number
+    of cells only by a few floats per cell.
     """
     deltas = list(delta_range)
     sigmas = list(sigma_range)
@@ -224,7 +244,7 @@ def coverage_grid(
     tests = [ThresholdTest(delta=d, sigma=s) for d in deltas for s in sigmas]
     u_ins = _opt_in_utilities(tests, params)
     return [
-        CoverageCell(t.delta, t.sigma, _indifference(u_in, mu0, s0, params, rel_tol=1e-9))
+        CoverageCell(t.delta, t.sigma, _indifference(u_in, mu0, s0, params))
         for t, u_in in zip(tests, u_ins)
     ]
 

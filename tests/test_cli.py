@@ -92,19 +92,21 @@ def test_optimal_json(tmp_path):
 
 def test_coverage_single_cell_and_inf(tmp_path):
     out = tmp_path / "cov.csv"
-    rc = main(
-        [
-            "coverage",
-            "--R", "4", "--c", "1", "--alpha", "0.5",
-            "--delta-range", "3", "--sigma-range", "0.5",
-            "--mu0", "1e-12", "--s0", "1e-12",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    _, header, rows = read_csv(out)
-    assert header == "delta,sigma,gamma_bar"
-    assert rows == [["3", "0.5", "inf"]]
+    # gamma_bar ~ 1/mu0 lies far above the 1e6 cap at both moments
+    for moment in ("1e-12", "1e-300"):
+        rc = main(
+            [
+                "coverage",
+                "--R", "4", "--c", "1", "--alpha", "0.5",
+                "--delta-range", "3", "--sigma-range", "0.5",
+                "--mu0", moment, "--s0", moment,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        assert header == "delta,sigma,gamma_bar"
+        assert rows == [["3", "0.5", "inf"]]
 
 
 def test_coverage_range_parsing(tmp_path):

@@ -130,6 +130,13 @@ def test_max_opt_out_matches_dense_grid_over_aversion(gamma):
     assert u == pytest.approx(P4.R - 1.0 + excess(x_star), rel=1e-12, abs=1e-300)
 
 
+def test_max_opt_out_depends_on_aversion_times_moments_only():
+    # gamma*mu0 = gamma*s0 = 4.94e-16 in both models
+    tiny_aversion = max_opt_out_utility(LiabilityModel(5e-324, 1e308, 1e308), P4)
+    assert tiny_aversion == max_opt_out_utility(LiabilityModel(5e-324 * 1e308, 1.0, 1.0), P4)
+    assert tiny_aversion[0] == pytest.approx(2.99999996, abs=1e-8)
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -182,9 +189,54 @@ def test_gamma_bar_frozen_value_and_indifference():
 
 
 def test_gamma_bar_stops_at_float_resolution():
-    # the root to float resolution (the default tolerance lands on it too)
-    gb = gamma_bar(ThresholdTest(3.0, 1.0), 1.0, 1.5, P4, rel_tol=0.0)
-    assert gb == 0.9108548660555045
+    from fractions import Fraction
+
+    gb = gamma_bar(ThresholdTest(3.0, 1.0), 1.0, 1.5, P4)
+    assert gb == 0.9108548660555046
+    # within one ulp of the root to 50 digits
+    root = Fraction("0.91085486605550455866")
+    assert abs(Fraction(gb) - root) <= Fraction(math.ulp(gb))
+
+
+def test_gamma_bar_finite_up_to_the_cap():
+    # gamma_bar scales as 1/mu0: 607,236.58 lies below the 1e6 cap, 1.14e6 above it
+    test = ThresholdTest(3.0, 1.0)
+    gb = gamma_bar(test, 1.5e-6, 2.25e-6, P4)
+    assert gb == pytest.approx(607236.577, abs=1e-3)
+    assert gb == pytest.approx(gamma_bar(test, 1.0, 1.5, P4) / 1.5e-6, rel=1e-14)
+    from auditopt import optimal_strategy
+
+    u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.5e-6, 2.25e-6), P4)
+    assert abs(u_out - optimal_strategy(test, P4).utility) <= 1e-12 * P4.R
+    assert gamma_bar(test, 8e-7, 1.2e-6, P4) == math.inf
+
+
+def test_gamma_bar_small_root_to_relative_precision():
+    # the indifference root to 60 digits (mpmath) for this cell's float opt-in utility
+    gb = gamma_bar(ThresholdTest(0.7750000000000001, 0.09), 1.1, 1.65, P4)
+    assert gb == pytest.approx(5.7617572060819203e-10, rel=1e-12, abs=0.0)
+
+
+def test_gamma_bar_tiny_loss_moments_never_participate():
+    # gamma_bar ~ 1/mu0 = 1e300, far above the cap, without an overflow on the way
+    assert gamma_bar(ThresholdTest(3.0, 1.0), 1e-300, 1e-300, P4) == math.inf
+
+
+def test_gamma_bar_without_intermediate_overflow_at_extreme_revenue():
+    # 2*q/(m + w) * c*x alone would overflow here; the root to 60 digits (mpmath)
+    from auditopt.threshold import _indifference
+
+    gb = _indifference(0.0, 1e308, 1e308, VendorParams(R=1e308, c=1e-3, alpha=0.5))
+    assert gb == pytest.approx(36455.996807819466085, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2.0**-16, 0.5, 2.0, 2.0**40, 2.0**1000])
+def test_gamma_bar_scales_as_one_over_loss_moments(k):
+    deltas, sigmas = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 3.0, 7)
+    base = [c.gamma_bar for c in coverage_grid(deltas, sigmas, 1.0, 1.5, P4)]
+    scaled = [c.gamma_bar for c in coverage_grid(deltas, sigmas, k, 1.5 * k, P4)]
+    assert any(0.0 < g < math.inf for g in base)
+    assert scaled == [g / k for g in base]
 
 
 def bisect_to_float_resolution(left_of_root, lo, hi):
@@ -226,44 +278,56 @@ CRITERION_10_CELLS = [
 def test_gamma_bar_matches_bisection_oracle_and_is_indifferent():
     from auditopt import optimal_strategy
 
+    cases = [
+        (CRITERION_10_CELLS, 1.0, 1.5),
+        ([ThresholdTest(3.0, 1.0)], 1.5e-6, 2.25e-6),  # gamma_bar = 607,236.58, near the cap
+        ([ThresholdTest(0.7750000000000001, 0.09)], 1.1, 1.65),  # gamma_bar = 5.8e-10
+    ]
     finite = 0
-    for test in CRITERION_10_CELLS:
-        gb = gamma_bar(test, 1.0, 1.5, P4)
-        u_in = optimal_strategy(test, P4).utility
-        if gb == 0.0:
-            assert u_in >= P4.R - 1.0
-            continue
-        finite += 1
-        hi = 1.0
-        while opt_out_oracle(hi, 1.0, 1.5, P4) > u_in:
-            hi *= 2.0
-        oracle = bisect_to_float_resolution(
-            lambda g: opt_out_oracle(g, 1.0, 1.5, P4) > u_in, 0.0, hi
-        )
-        assert abs(gb - oracle) <= 1e-12 * max(1.0, oracle)
-        u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.0, 1.5), P4)
-        assert abs(u_out - u_in) <= 1e-12 * P4.R
-    assert finite > 40
+    for tests, mu0, s0 in cases:
+        for test in tests:
+            gb = gamma_bar(test, mu0, s0, P4)
+            u_in = optimal_strategy(test, P4).utility
+            if gb == 0.0:
+                assert u_in >= P4.R - 1.0
+                continue
+            finite += 1
+            hi = 1.0
+            while opt_out_oracle(hi, mu0, s0, P4) > u_in:
+                hi *= 2.0
+            oracle = bisect_to_float_resolution(
+                lambda g: opt_out_oracle(g, mu0, s0, P4) > u_in, 0.0, hi
+            )
+            assert abs(gb - oracle) <= 1e-12 * max(1.0, oracle)
+            u_out, _ = max_opt_out_utility(LiabilityModel(gb, mu0, s0), P4)
+            assert abs(u_out - u_in) <= 1e-12 * P4.R
+    assert finite > 42
 
 
 def test_gamma_bar_opt_out_solves_per_cell(monkeypatch):
     from auditopt import threshold
 
-    calls = []
-    solve = threshold.max_opt_out_utility
+    def no_opt_out_solve(model, params):
+        raise AssertionError("the sweep solved an opt-out problem")
 
-    def counted(model, params):
-        calls.append(model.gamma)
-        return solve(model, params)
+    evaluations = []
+    newton = threshold._newton
 
-    monkeypatch.setattr(threshold, "max_opt_out_utility", counted)
-    per_cell = []
-    for test in CRITERION_10_CELLS:
-        calls.clear()
-        gamma_bar(test, 1.0, 1.5, P4)
-        per_cell.append(len(calls))
-    # about 6 per cell; each solve is most of a cell's cost
-    assert max(per_cell) <= 12
+    def counted_newton(f, lo, hi, rel_tol):
+        def counted(t):
+            evaluations[-1] += 1
+            return f(t)
+
+        evaluations.append(0)
+        return newton(counted, lo, hi, rel_tol)
+
+    monkeypatch.setattr(threshold, "max_opt_out_utility", no_opt_out_solve)
+    monkeypatch.setattr(threshold, "_newton", counted_newton)
+    deltas, sigmas = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 3.0, 7)
+    cells = coverage_grid(deltas, sigmas, 1.0, 1.5, P4)
+    # one root per cell short of full coverage, each of a few evaluations
+    assert len(evaluations) == sum(c.gamma_bar > 0.0 for c in cells) > 40
+    assert max(evaluations) <= 8
 
 
 def test_gamma_bar_monotone_in_threshold():
@@ -341,22 +405,34 @@ def test_coverage_grid_memory_does_not_grow_with_cells():
 
 
 def test_gamma_bar_root_below_float_range_is_not_full_coverage():
-    # at these loss moments U_out*(5e-324) = -inf, so in every cell short of
-    # R - 1 the indifference root lies below the smallest positive float
+    # at these loss moments every cell short of R - 1 has its indifference
+    # root among the subnormal floats, 1e-310 to 1e-308
     from auditopt import optimal_strategy
 
     cells = coverage_grid([0.0, 1.0, 3.0], [0.1, 1.0], 1e308, 1e308, P4)
+    k = 2.0**-1000  # the same cells at normal-range moments, by the scaling law
+    normal = coverage_grid([0.0, 1.0, 3.0], [0.1, 1.0], 1e308 * k, 1e308 * k, P4)
     full = 0
-    for cell in cells:
+    for cell, ref in zip(cells, normal):
         test = ThresholdTest(cell.delta, cell.sigma)
         gb = gamma_bar(test, 1e308, 1e308, P4)
         assert cell.gamma_bar == gb
-        if optimal_strategy(test, P4).utility >= P4.R - 1.0:
+        u_in = optimal_strategy(test, P4).utility
+        if u_in >= P4.R - 1.0:
             full += 1
-            assert gb == 0.0
-        else:
-            assert gb == math.ulp(0.0)
+            assert gb == 0.0 == ref.gamma_bar
+            continue
+        assert gb > 0.0
+        assert gb == pytest.approx(ref.gamma_bar * k, rel=0.0, abs=math.ulp(0.0))
+        u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1e308, 1e308), P4)
+        assert abs(u_out - u_in) <= 1e-12 * P4.R
     assert full == 1
+    # a root below even the subnormals is reported as the smallest float
+    from auditopt.threshold import _indifference
+
+    u_in = P4.R - 1.0 - 2.0**-30
+    assert 0.0 < _indifference(u_in, 1.0, 1.0, P4) < 1e-17
+    assert _indifference(u_in, 1e308, 1e308, P4) == math.ulp(0.0)
 
 
 def test_ca_shape_constant_test_is_flat():
