@@ -154,7 +154,7 @@ def two_step_value(b_prime, b, params: VendorParams, x):
 
 
 def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
-    """Largest global maximizer of f over the grid, after golden refinement.
+    """Largest global maximizer of f over the grid, after nested-grid refinement.
 
     Every local maximum of f on the grid is refined between its neighbours,
     so a maximizer sitting between grid points is not lost; ties within

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import GridSpec, TestFunction, VendorParams
-from .core import ValueFunction, g_value
+from .core import ValueFunction, _running_max, g_value
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,6 @@ class Audit:
             prefix=tuple(TestFunction.from_json(t) for t in obj.get("prefix", [])),
             tail=TestFunction.from_json(obj["tail"]),
         )
-
-
-def _running_max(values: np.ndarray) -> np.ndarray:
-    """max_{y >= x} values(y) on the grid, one right-to-left pass."""
-    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def backward_induction(

@@ -131,7 +131,7 @@ def _opt_in_utilities(tests: list, params: VendorParams) -> list:
     is evaluated on the default grid for blocks of tests at once, one row
     per test and at most _BLOCK_POINTS grid points per block (at least one
     row); a block keeps only its peak brackets. Every peak of every test is
-    then refined in one lockstep golden_max call.
+    then refined by nested grids in one lockstep refine_peaks call.
     """
     deltas = np.array([t.delta for t in tests], dtype=float)
     sigmas = np.array([t.sigma for t in tests], dtype=float)
@@ -143,7 +143,7 @@ def _opt_in_utilities(tests: list, params: VendorParams) -> list:
         row, bx, bu = grid_peaks(xs, g_value(lambda x: _threshold_pass(x, d, s), params, xs))
         blocks.append((row + first, bx, bu))
     cell, bx, bu = (np.concatenate(parts) for parts in zip(*blocks))
-    d, s = deltas[cell], sigmas[cell]
+    d, s = deltas[cell, None], sigmas[cell, None]  # one row of samples per peak
     f = lambda x: g_value(lambda y: _threshold_pass(y, d, s), params, x)
     _, values = refine_peaks(f, bx, bu)
     # cell ascends, and every cell has a peak (both grid ends are peaks)
@@ -231,10 +231,10 @@ def coverage_grid(
     Every cell equals gamma_bar on its ThresholdTest bit for bit, including
     the 5e-324 reported for a root below the smallest float. The opt-in
     utilities of all cells come from one grid pass, in blocks of at most
-    2^15 grid points (at least one cell), and one lockstep golden_max call
-    over every cell's peaks. Then each cell's gamma_bar is one scalar root of
-    a few evaluations, with no opt-out solve. Memory grows with the number
-    of cells only by a few floats per cell.
+    2^15 grid points (at least one cell), and one lockstep nested-grid
+    refinement of every cell's peaks. Then each cell's gamma_bar is one
+    scalar root of a few evaluations, with no opt-out solve. Memory grows
+    with the number of cells only by a few floats per cell.
     """
     deltas = list(delta_range)
     sigmas = list(sigma_range)

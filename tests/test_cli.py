@@ -175,6 +175,15 @@ def test_optimal_grid_size_limits(tmp_path):
     assert json.loads(out.read_text())["solution"]["maximizers"] == [0.0, 4.0]
 
 
+def test_optimal_on_a_coarse_grid_far_from_zero_stops(tmp_path):
+    # a 100-wide grid cell near x = 1e7, where floats are 1.9e-9 apart
+    argv = ["optimal", "--R", "1e7", "--c", "1", "--alpha", "0.5", "--test", "constant",
+            "--p", "0.5", "--grid-step", "100", "--out", str(tmp_path / "o.json")]
+    start = time.monotonic()
+    assert main(argv) == 0
+    assert time.monotonic() - start < 10.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

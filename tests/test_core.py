@@ -18,7 +18,8 @@ from auditopt import (
     value_iteration_oracle,
     waiver_cost,
 )
-from auditopt.core import golden_max
+from auditopt import core
+from auditopt.core import golden_max, grid_peaks, refine_peaks
 from auditopt.types import MAX_GRID_POINTS
 
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
@@ -106,6 +107,58 @@ def test_golden_max_stops_below_float_spacing():
     # at 1e13 neighbouring floats are 2e-3 apart, far above tol
     x = golden_max(lambda x: -((x - 1.00000001e13) ** 2), 1e13, 1e13 + 1e7, tol=1e-9)
     assert abs(x - 1.00000001e13) < 1.0
+
+
+def test_refine_peaks_lockstep_matches_single_peak_calls():
+    f = lambda x: -((x - 0.3) ** 2) * (1.0 + np.sin(7.0 * x) ** 2)
+    # (peak, left neighbour, right neighbour) as grid_peaks gives them, clipped
+    # at a grid end in the last two rows
+    bx = np.array([[0.5, 0.0, 1.0], [0.3, 0.25, 0.35], [0.3, 0.29999, 0.30001],
+                   [0.3, 0.3, 0.3], [0.0, 0.0, 0.31], [1.0, 0.29, 1.0]])
+    bu = f(bx)
+    xs, us = refine_peaks(f, bx, bu)
+    alone = [refine_peaks(f, bx[i:i + 1], bu[i:i + 1]) for i in range(len(bx))]
+    assert xs.tolist() == [x[0] for x, _ in alone]
+    assert us.tolist() == [u[0] for _, u in alone]
+    assert np.all(us >= bu[:, 0]) and us[3] == bu[3, 0]  # values never drop
+    assert np.all((bx[:, 1] <= xs) & (xs <= bx[:, 2]))
+    assert np.all(np.abs(xs[:3] - 0.3) <= 1e-9)
+
+
+def test_refine_peaks_stops_below_float_spacing():
+    # at 1e13 neighbouring floats are 2e-3 apart, far above the 1e-9 tolerance
+    f = lambda x: -((x - 1.00000001e13) ** 2)
+    bx = np.array([[1e13 + 5e6, 1e13, 1e13 + 1e7]])
+    xs, us = refine_peaks(f, bx, f(bx))
+    assert abs(xs[0] - 1.00000001e13) < 1.0
+
+
+def test_refine_peaks_calls_f_six_times_on_a_fine_grid(monkeypatch):
+    # nested grids of 33 points: 6 calls of f per refinement on a 1e-3 grid
+    # (a golden-section refinement makes 34)
+    shapes = []
+    g_value = core.g_value
+
+    def counted(test, params, x):
+        shapes.append(np.shape(x))
+        return g_value(test, params, x)
+
+    monkeypatch.setattr(core, "g_value", counted)
+    sol = optimal_strategy(ThresholdTest(1.0, 1.0), P4)
+    assert sol.utility == pytest.approx(1.7704991603434688, abs=1e-9)
+    grid, *passes = shapes
+    assert grid == (len(default_grid(P4).points()),)
+    assert len(passes) == 6 and all(s[1] == 33 for s in passes)
+
+
+def test_optimal_strategy_at_a_linear_kink():
+    # the maximum sits at the kink x = b + 1, where a golden-section refinement
+    # stops 1.1e-10 below it
+    R, c, b = 3.7648563533187662, 1.939974088552574, 0.6639707914651352
+    sol = optimal_strategy(LinearTest(b), VendorParams(R, c, 0.38479697116430794))
+    exact = R - c * (b + 1.0)  # 0.5367961337680854
+    assert exact - 2e-11 <= sol.utility <= exact + 4e-16
+    assert sol.maximizers == pytest.approx((b + 1.0,), abs=1e-9)
 
 
 def test_grid_spec_caps_point_count():

@@ -186,7 +186,7 @@ def test_easier_first_regime_errors():
 
 # Harder-first values below come from bisecting the tail entrance b, with
 # b' = b + epsilon, on whether the largest maximizer of the two-step utility
-# (20,001-point grid on [0, b' + 2] plus golden refinement, ties within
+# (20,001-point grid on [0, b' + 2] plus nested-grid refinement, ties within
 # 1e-9 * max(1, R)) is positive; the designer is never called. That search
 # overshoots the cliff by at most tie / (c * (1 - alpha)), hence abs=1e-7.
 
