@@ -115,12 +115,19 @@ def _audit(config: dict) -> Audit:
 
 
 def _parse_range(spec: str, name: str) -> list:
-    """Either comma-separated values or start:stop:count (inclusive linspace)."""
+    """Either comma-separated values or start:stop:count (inclusive linspace),
+    with at most MAX_GRID_POINTS values."""
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            return list(np.linspace(float(start), float(stop), int(count)))
-        values = [float(v) for v in spec.split(",") if v != ""]
+            count = int(count)
+            if count > MAX_GRID_POINTS:
+                raise ConfigError(f"{name}: {count} values is more than {MAX_GRID_POINTS}")
+            values = list(np.linspace(float(start), float(stop), count))
+        else:
+            values = [float(v) for v in spec.split(",") if v != ""]
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"{name}: cannot parse range {spec!r}")
     if not values:
@@ -178,6 +185,9 @@ def cmd_coverage(config: dict) -> int:
     params = _params(config)
     deltas = _parse_range(config.get("delta_range", ""), "delta_range")
     sigmas = _parse_range(config.get("sigma_range", ""), "sigma_range")
+    if len(deltas) * len(sigmas) > MAX_GRID_POINTS:
+        raise ConfigError(f"coverage: {len(deltas)} x {len(sigmas)} cells is more than "
+                          f"{MAX_GRID_POINTS}")
     if any(s <= 0 for s in sigmas):
         raise ConfigError("sigma_range: sigma values must be positive")
     cells = coverage_grid(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -76,19 +77,24 @@ def simulate(
 
     The schedule is open-loop, so each step's discount, pass probability and
     utility so far are computed once, when an episode first reaches that
-    step, and shared by every episode. Within a
-    chunk, each step draws one uniform per episode still running and retires
-    those that pass. The cost of step t is charged before that step's test.
-    Episodes are truncated once the remaining discounted revenue
-    alpha^t * R/(1-alpha) falls below horizon_eps (default 1e-9 * R); a
-    truncated episode has paid the costs of every step it played.
+    step, and shared by every episode. For the same reason the episodes of a
+    chunk still running at step t are interchangeable, so the number that
+    pass is one Binomial(alive, p_t) draw. The cost of step t is charged
+    before that step's test. Episodes are truncated once the remaining
+    discounted revenue alpha^t * R/(1-alpha) falls below horizon_eps
+    (default 1e-9 * R); a truncated episode has paid the costs of every
+    step it played.
 
-    Each chunk is reduced to its count, mean and sum of squared deviations,
-    and the chunks are merged in order (Chan, Golub and LeVeque), so memory
-    is bounded by CHUNK, not by episodes.
+    Episodes that pass at the same step earn the same utility, as do the
+    truncated ones, so each chunk's mean and sum of squared deviations
+    follow from its counts. The chunks are merged in order (Chan, Golub and
+    LeVeque), so a chunk costs time and memory in the steps played, not in
+    the episodes.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if horizon_eps is None:
         horizon_eps = 1e-9 * params.R
     if horizon_eps <= 0:
@@ -107,10 +113,11 @@ def simulate(
     for k, first in enumerate(range(0, episodes, CHUNK)):
         n = min(CHUNK, episodes - first)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        utilities = np.empty(n)
-        live = np.arange(n)  # episodes of this chunk that have not passed yet
+        counts: list[int] = []  # episodes of this chunk per distinct utility
+        values: list[float] = []
+        alive = n  # episodes of this chunk that have not passed yet
         t = 0
-        while live.size:
+        while alive:
             if t == len(probs):
                 disc = discs[-1] * a if discs else 1.0
                 if disc * R / (1.0 - a) < horizon_eps:
@@ -120,22 +127,25 @@ def simulate(
                 discs.append(disc)
                 paid.append((paid[-1] if paid else 0.0) - disc * c * (x_t - x_prev))
                 probs.append(float(audit.test_at(t)(x_t)))
-            passed = rng.random(live.size) < probs[t]
-            n_passed = int(np.count_nonzero(passed))
+            n_passed = int(rng.binomial(alive, probs[t]))
             if n_passed:
                 histogram[t + 1] = histogram.get(t + 1, 0) + n_passed
-                utilities[live[passed]] = paid[t] + discs[t] * R
-                live = live[~passed]
+                counts.append(n_passed)
+                values.append(paid[t] + discs[t] * R)
+                alive -= n_passed
             t += 1
         # the rest reached the horizon, having paid through step t - 1
-        truncated += live.size
-        utilities[live] = paid[t - 1] if t else 0.0
+        if alive:
+            truncated += alive
+            counts.append(alive)
+            values.append(paid[t - 1] if t else 0.0)
 
         # merge this chunk's count, mean and M2 into the running totals (an
         # overflow stays non-finite, for the caller to refuse)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(utilities.mean())
-            m2 = float(np.sum((utilities - mean) ** 2))
+            ks, vs = np.array(counts, dtype=float), np.array(values)
+            mean = float(ks @ vs / n)
+            m2 = float(ks @ (vs - mean) ** 2)
         n_new = n_all + n
         delta = mean - mean_all
         mean_all += delta * (n / n_new)

@@ -452,6 +452,33 @@ def test_simulate_refuses_a_schedule_longer_than_the_grid_cap(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        # 10^9 values of delta would need an 8 GB array
+        ["--delta-range", "0:1:1000000000", "--sigma-range", "1"],
+        # each range is small, but 10^8 cells would keep about 14 GB of results
+        ["--delta-range", "0:1:10000", "--sigma-range", "0.5:1.5:10000"],
+    ],
+)
+def test_coverage_refuses_ranges_beyond_the_grid_cap(tmp_path, capsys, ranges):
+    out = tmp_path / "cov.csv"
+    start = time.perf_counter()
+    rc = main(["coverage", "--R", "4", "--c", "1", "--alpha", "0.5", *ranges, "--out", str(out)])
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    assert "is more than" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

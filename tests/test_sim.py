@@ -201,3 +201,57 @@ def test_simulate_memory_is_bounded_by_chunk():
     simulate(sched, audit, P4, 10, seed=3)  # warm up lazy set-up
     chunk_bytes = CHUNK * np.dtype(float).itemsize
     assert abs(peak(16 * CHUNK) - peak(4 * CHUNK)) < chunk_bytes
+
+
+def pass_time_law(schedule, audit, params):
+    """Probability of a first pass at each time t+1, and of reaching the
+    default horizon without one, from the tests' probabilities alone."""
+    law, survive, t = {}, 1.0, 0
+    while params.alpha**t * params.R / (1.0 - params.alpha) >= 1e-9 * params.R:
+        p = float(audit.test_at(t)(schedule.level_at(t)))
+        law[t + 1] = survive * p
+        survive *= 1.0 - p
+        t += 1
+    return law, survive
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_simulate_pass_times_follow_the_tests(seed):
+    sched = Schedule(levels=(0.4, 0.4, 1.2))
+    audit = Audit(prefix=(LinearTest(0.2), ThresholdTest(1.5, 0.8)), tail=ThresholdTest(1.0, 0.6))
+    n = 100_000
+    law, p_trunc = pass_time_law(sched, audit, P4)
+    res = simulate(sched, audit, P4, n, seed=seed)
+    assert set(res.pass_time_histogram) <= set(law)
+    observed = [(res.pass_time_histogram.get(t, 0), pi) for t, pi in law.items()]
+    observed.append((round(res.truncated_fraction * n), p_trunc))
+    for count, pi in observed:
+        assert abs(count - n * pi) <= 5.0 * math.sqrt(n * pi * (1.0 - pi)) + 1e-9
+
+
+def test_simulate_keeps_no_per_episode_array():
+    sched = Schedule(levels=(0.4, 0.4, 1.2))
+    audit = Audit(prefix=(LinearTest(0.2),), tail=ThresholdTest(1.0, 0.6))
+    simulate(sched, audit, P4, 10, seed=3)  # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        simulate(sched, audit, P4, CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK * np.dtype(float).itemsize
+
+
+def test_simulate_does_not_use_the_exact_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate must not call evaluate_schedule")
+
+    monkeypatch.setattr("auditopt.sim.evaluate_schedule", refuse)
+    res = simulate(Schedule(levels=(1.0, 1.5)), static(ThresholdTest(1.0, 1.0)), P4, 1000, seed=5)
+    assert res.episodes == 1000
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_simulate_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulate(Schedule(levels=(1.0,)), static(ConstantTest(0.5)), P4, 10, seed=seed)
