@@ -260,8 +260,8 @@ def value_iteration_oracle(
     with the inner maximum computed by one right-to-left running-max pass.
     Stops when the sup-norm change drops below tol*(1-alpha).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
     if grid is None:
         grid = default_grid(params)
     if grid.x_max < params.rosi:

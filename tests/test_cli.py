@@ -460,6 +460,28 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_a_trillion_episodes_in_steps_played(tmp_path):
+    out = tmp_path / "s.json"
+    start = time.perf_counter()
+    rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--episodes", "1000000000000",
+                          "--out", str(out)])
+    assert rc == 0
+    assert time.perf_counter() - start < 1.0
+    res = json.loads(out.read_text())["result"]
+    assert sum(res["pass_time_histogram"].values()) + round(
+        res["truncated_fraction"] * 10**12
+    ) == 10**12
+
+
+def test_simulate_rejects_an_episode_count_beyond_int64(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--episodes",
+                          "9223372036854775808", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: episodes must be an integer in [1, 2**63)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "ranges",
     [

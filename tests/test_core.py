@@ -228,6 +228,12 @@ def test_value_iteration_certain_pass():
     assert np.allclose(vf.values, 4.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_value_iteration_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        value_iteration_oracle(ConstantTest(1.0), P4, GridSpec(5.0, 1e-2), tol=tol)
+
+
 def test_value_iteration_net_value_monotone():
     vf = value_iteration_oracle(ThresholdTest(1.5, 0.8), P4, GridSpec(5.0, 1e-2))
     net = vf.values - P4.c * vf.xs
