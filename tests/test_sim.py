@@ -178,6 +178,27 @@ def test_simulate_counts_every_episode(episodes):
     assert math.isfinite(res.mean_utility) and math.isfinite(res.std_error)
 
 
+def test_simulate_memory_is_bounded_by_chunk():
+    # a chunk of 8192 episodes held as floats is the most the run may grow by
+    # when the episode count is multiplied by four
+    chunk = 8192
+    sched = Schedule(levels=(1.0,))
+    audit = static(ConstantTest(0.5))
+
+    def peak(episodes):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(sched, audit, P4, episodes, seed=3)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    simulate(sched, audit, P4, 10, seed=3)  # warm up lazy set-up
+    chunk_bytes = chunk * np.dtype(float).itemsize
+    assert abs(peak(16 * chunk) - peak(4 * chunk)) < chunk_bytes
+
+
 def test_simulate_keeps_no_per_episode_array():
     # every episode fails, so both counts play the same steps to the horizon
     # and only the number of episodes differs
