@@ -73,19 +73,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _get(config: dict, key: str, kind: type, default=None):
+    """config[key], or default if absent, when it has the JSON type kind (an
+    int passes for a float); a key without a default must be present."""
+    if key not in config and default is None:
+        raise ConfigError(f"{key}: missing required parameter")
+    val = config.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {json.dumps(val)}")
+    return float(val) if kind is float else val
+
+
 def _params(config: dict) -> VendorParams:
-    for field in ("R", "c", "alpha"):
-        if field not in config:
-            raise ConfigError(f"{field}: missing required parameter")
-    try:
-        return VendorParams(R=float(config["R"]), c=float(config["c"]), alpha=float(config["alpha"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return VendorParams(*(_get(config, field, float) for field in ("R", "c", "alpha")))
 
 
 def _grid(config: dict, params: VendorParams) -> GridSpec:
-    step = float(config.get("grid_step", 1e-3))
-    x_max = float(config.get("x_max", params.rosi + 1.0))
+    step = _get(config, "grid_step", float, 1e-3)
+    x_max = _get(config, "x_max", float, params.rosi + 1.0)
     try:
         return GridSpec(x_max=x_max, step=step)
     except ValueError as exc:
@@ -103,10 +108,9 @@ def _test(config: dict) -> TestFunction:
 
 def _audit(config: dict) -> Audit:
     """The finite-step audit in the JSON file named by the audit key."""
-    if "audit" not in config:
-        raise ConfigError("audit: missing audit JSON file")
+    path = _get(config, "audit", str)
     try:
-        with open(config["audit"]) as fh:
+        with open(path) as fh:
             return Audit.from_json(json.load(fh))
     except KeyError as exc:
         raise ConfigError(f"audit: missing key {exc}")
@@ -183,15 +187,15 @@ def cmd_optimal(config: dict) -> int:
 
 def cmd_coverage(config: dict) -> int:
     params = _params(config)
-    deltas = _parse_range(config.get("delta_range", ""), "delta_range")
-    sigmas = _parse_range(config.get("sigma_range", ""), "sigma_range")
+    deltas = _parse_range(_get(config, "delta_range", str, ""), "delta_range")
+    sigmas = _parse_range(_get(config, "sigma_range", str, ""), "sigma_range")
     if len(deltas) * len(sigmas) > MAX_GRID_POINTS:
         raise ConfigError(f"coverage: {len(deltas)} x {len(sigmas)} cells is more than "
                           f"{MAX_GRID_POINTS}")
     if any(s <= 0 for s in sigmas):
         raise ConfigError("sigma_range: sigma values must be positive")
     cells = coverage_grid(
-        deltas, sigmas, float(config.get("mu0", 1.0)), float(config.get("s0", 1.5)), params
+        deltas, sigmas, _get(config, "mu0", float, 1.0), _get(config, "s0", float, 1.5), params
     )
     rows = ((cell.delta, cell.sigma, cell.gamma_bar) for cell in cells)
     _write_csv(config["out"], "delta,sigma,gamma_bar", rows, config)
@@ -206,7 +210,7 @@ def cmd_design(config: dict) -> int:
     elif mode == "easier-first":
         design = design_dynamic_easier_first(params)
     elif mode == "harder-first":
-        design = design_dynamic_harder_first(params, epsilon=float(config.get("epsilon", 1e-2)))
+        design = design_dynamic_harder_first(params, epsilon=_get(config, "epsilon", float, 1e-2))
     else:
         raise ConfigError(f"mode: must be static, easier-first or harder-first, got {mode!r}")
     _write_json(config["out"], {"design": design.to_json()}, config)
@@ -231,8 +235,8 @@ def cmd_simulate(config: dict) -> int:
         schedule,
         audit,
         params,
-        episodes=int(config.get("episodes", 10000)),
-        seed=int(config.get("seed", 0)),
+        episodes=_get(config, "episodes", int, 10000),
+        seed=_get(config, "seed", int, 0),
     )
     analytic = evaluate_schedule(schedule, audit, params)
     _write_json(config["out"], {"result": result.to_json(), "analytic": analytic}, config)
@@ -316,8 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve(args)
-        if "out" not in config:
-            raise ConfigError("out: missing output path")
+        _get(config, "out", str)
         return args.func(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Closed-form net utility for the linear test family, the static design
 optimizer, the two-step (easier-first / harder-first) designers, and the
-piecewise tail utilities used to verify them.
+continuation value used to verify them, all read from one ramp peak.
 """
 
 from __future__ import annotations
@@ -73,22 +73,21 @@ class LinearDesign:
         return out
 
 
-def _static_closed_form(params: VendorParams) -> tuple[RosiCase, float, float]:
-    rosi, a = params.rosi, params.alpha
-    case = rosi_case(params)
-    if case is RosiCase.LOW:
-        # entrance value is arbitrary here; 0 keeps the output deterministic
-        return case, 0.0, 0.0
-    if case is RosiCase.MID:
-        b = (math.sqrt(rosi) - math.sqrt(1.0 - a)) ** 2 / a
-        x = (rosi - math.sqrt((1.0 - a) * rosi)) / a
-        return case, b, x
-    return case, rosi - 1.0, rosi
+def _ramp_peak(rosi: float, a: float) -> tuple[float, float]:
+    """(k, K): for every b, G^b peaks on its ramp [b, b+1] at b + k, worth c*(K - b).
+
+    Clipping k to [0, 1] covers all three regimes: k = K = 0 at low ROSI, k = 1
+    and K = R/c - 1 at high ROSI."""
+    abar = (1.0 - a) / a
+    k = min(max(math.sqrt(abar * rosi / a) - abar, 0.0), 1.0)
+    return k, rosi * k / (1.0 - a * (1.0 - k)) - k
 
 
 def design_static(params: VendorParams) -> LinearDesign:
     """Entrance value maximizing the investment a static linear audit can induce."""
-    case, b, x = _static_closed_form(params)
+    case = rosi_case(params)
+    k, b = _ramp_peak(params.rosi, params.alpha)
+    x = b + k
     f = lambda y: g_linear(b, params, y)
     # below R/c = 1 - alpha every G^b falls from x = 0, so there is nothing to search
     verified = case is RosiCase.LOW or _best_response(f, x, params.rosi + 1.0, params)
@@ -101,7 +100,8 @@ def capacity_gap_bound(params: VendorParams) -> float:
         raise RegimeError("capacity gap bound applies to the mid-ROSI case only")
     a = params.alpha
     bound = 1.0 / (4.0 * a) if a >= 0.5 else 1.0 - a
-    gap = params.rosi - design_static(params).x
+    k, K = _ramp_peak(params.rosi, a)
+    gap = params.rosi - (K + k)
     if gap > bound + 1e-12:
         raise RuntimeError(f"capacity gap {gap} exceeds its bound {bound}")
     return bound
@@ -110,38 +110,15 @@ def capacity_gap_bound(params: VendorParams) -> float:
 def tail_value(b, params: VendorParams, x):
     """Best continuation value max_{y >= x} G^b(y) under the static linear-b audit.
 
-    Closed-form piecewise in every ROSI regime (constant plateau between the
-    points where investing stops paying and where the middle branch peaks).
+    G^b peaks once, at b + k (_ramp_peak): right of it the best is G^b(x), at or
+    left of it the larger of G^b(x) and the peak's value c*(K - b), in every regime.
     """
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
-    c, R, a = params.c, params.R, params.alpha
-    abar = (1.0 - a) / a
-    rosi = params.rosi
-
-    if rosi < 1.0 - a:
-        # G^b strictly decreasing: nothing beyond x is worth waiting for
-        val = g_linear(b, params, x)
-        return val
-
-    if rosi >= 1.0 / (1.0 - a):
-        # passing for sure at b+1 dominates the middle branch
-        plateau = R - c * (b + 1.0)
-        val = np.where(
-            x < b + 1.0 - rosi, -c * x, np.where(x < b + 1.0, plateau, R - c * x)
-        )
-    else:
-        s1r = b - (math.sqrt(R / (a * c)) - math.sqrt(abar)) ** 2
-        s2r = b - abar + math.sqrt(abar * R / (a * c))
-        plateau = (math.sqrt(R / a) - math.sqrt(abar * c)) ** 2 - b * c
-        t = np.minimum(np.maximum(x - b, 0.0), 1.0)
-        ramp = -c * x + t * R / (1.0 - a + a * t)
-        val = np.where(
-            x < s1r,
-            -c * x,
-            np.where(x < s2r, plateau, np.where(x < b + 1.0, ramp, R - c * x)),
-        )
-    return float(val) if np.ndim(val) == 0 else val
+    k, K = _ramp_peak(params.rosi, params.alpha)
+    here = g_linear(b, params, x)
+    val = np.where(x <= b + k, np.maximum(here, params.c * (K - b)), here)
+    return float(val) if val.ndim == 0 else val
 
 
 def two_step_value(b_prime, b, params: VendorParams, x):
@@ -186,14 +163,14 @@ def design_dynamic_easier_first(params: VendorParams) -> LinearDesign:
     Requires 1 < R/c < 1/(1-alpha); outside that band a dynamic audit cannot
     beat the static design.
     """
-    c, R, a = params.c, params.R, params.alpha
-    if not 1.0 < params.rosi < 1.0 / (1.0 - a):
+    rosi, a = params.rosi, params.alpha
+    if not 1.0 < rosi < 1.0 / (1.0 - a):
         raise RegimeError(
-            f"easier-first design needs 1 < R/c < 1/(1-alpha); got R/c = {params.rosi}"
+            f"easier-first design needs 1 < R/c < 1/(1-alpha); got R/c = {rosi}"
         )
-    b = R / c + (math.sqrt(R / (a * c)) - math.sqrt((1.0 - a) / a)) ** 2
-    b_prime = R / c - 1.0
-    x = R / c
+    b = rosi + _ramp_peak(rosi, a)[1]
+    b_prime = rosi - 1.0
+    x = rosi
     f = lambda y: two_step_value(b_prime, b, params, y)
     return LinearDesign(
         case=RosiCase.MID, b=b, b_prime=b_prime, x=x, utility=float(f(x)),
@@ -221,23 +198,19 @@ def design_dynamic_harder_first(params: VendorParams, epsilon: float = 1e-2) -> 
             "harder-first design needs 1-alpha < R/c < 1/(1-alpha); "
             f"got R/c = {rosi}"
         )
-    abar = (1.0 - a) / a
-    root = math.sqrt(abar * rosi / a + abar * rosi * epsilon)
-    k = min(root - abar, 1.0)  # height of the vendor's ramp peak above b
+    # the first test's ramp peaks k above b, as a static one at R/c*(1 + alpha*epsilon)
+    k, K1 = _ramp_peak(rosi * (1.0 + a * epsilon), a)
+    k_static, K = _ramp_peak(rosi, a)
     # b0 puts the peak's value at zero; raising b lowers it by c per unit, and
-    # the zero-effort value alpha*max(0, K - c*b) by alpha*c while positive
-    if k < 1.0:
-        b0 = abar + rosi / a - 2.0 * root
-    else:
-        b0 = rosi * (1.0 - epsilon * (1.0 - a)) - 1.0
-    k_over_c = (math.sqrt(rosi / a) - math.sqrt(abar)) ** 2  # tail_value's plateau at b = 0
-    b = min(b0, (b0 - a * k_over_c) / (1.0 - a))
+    # the zero-effort value alpha*c*max(0, K - b) by alpha*c while positive
+    b0 = K1 - epsilon * rosi
+    b = min(b0, (b0 - a * K) / (1.0 - a))
     if b < 0:
         raise RegimeError(f"no harder-first audit with epsilon = {epsilon} induces effort")
     b_prime = b + epsilon
     x = b + k
 
-    if not x < _static_closed_form(params)[2]:
+    if not x < K + k_static:
         raise RuntimeError("harder-first design unexpectedly beats the static optimum")
     f = lambda y: two_step_value(b_prime, b, params, y)
     return LinearDesign(

@@ -34,7 +34,6 @@ from auditopt import (
     optimal_strategy,
     perturb_one_test,
     simulate,
-    two_step_value,
     value_iteration_oracle,
     waiver_cost,
 )
@@ -196,25 +195,51 @@ def test_criterion_04_easier_first_design():
     )
 
 
+def two_step_utility(params, b_prime, b):
+    """(x, i) -> the vendor's utility of investing x against test b'[i] once,
+    then the static b[i] audit, for 1-D arrays b' and b; written out here so
+    that it shares no code with the designer's tail value. The tail follows
+    bench/oracle.py's rule: G^b(x) past G^b's ramp peak, and up to it the
+    larger of G^b(x) and the peak's value. Every entry's peak is found once,
+    by one lockstep golden search on [b, b + 1]."""
+    c, R, a = params.c, params.R, params.alpha
+
+    def g(b, x):  # G^b(x) of the static linear-b audit
+        t = np.minimum(np.maximum(x - b, 0.0), 1.0)
+        return -c * x + R * t / (1.0 - a + a * t)
+
+    y_peak = golden_max(lambda y: g(b, y), b, b + 1.0, tol=1e-12)
+    v_peak = g(b, y_peak)
+
+    def utility(x, i):
+        here = g(b[i], x)
+        tail = np.where(x <= y_peak[i], np.maximum(here, v_peak[i]), here)
+        p = np.minimum(np.maximum(x - b_prime[i], 0.0), 1.0)
+        return -(1.0 - a + a * p) * c * x + p * R + a * (1.0 - p) * tail
+
+    return utility
+
+
 def brute_force_harder_first(params, epsilon):
     """Constrained search: for each allowed test gap, bisect the tail entrance
     value up to the cliff where the vendor stops choosing a positive effort."""
 
     def best_responses(b, delta):
-        """argmax_largest_tie(f, grid on [0, b + delta + 1], 1e-10) of
-        f = two_step_value(b + delta, b, .) for every entry of b and delta at
-        once, on a grid no coarser than 400 points over [b, b + delta + 1]:
-        every grid local maximum of every row is refined in one lockstep
-        golden_max call, then each row keeps its largest tie."""
+        """argmax_largest_tie(f, grid on [0, b + delta + 1], 1e-10) of the
+        two-step utility f of test b + delta once, then tail b, for every entry
+        of b and delta at once, on a grid no coarser than 400 points over
+        [b, b + delta + 1]: every grid local maximum of every row is refined
+        in one lockstep golden_max call, then each row keeps its largest tie."""
         b, delta = (np.ravel(v).astype(float) for v in np.broadcast_arrays(b, delta))
         n = 1 + int(np.ceil(np.max(399.0 * (b + delta + 1.0) / (delta + 1.0))))
         xs = np.linspace(0.0, b + delta + 1.0, n, axis=-1)
-        vals = two_step_value((b + delta)[:, None], b[:, None], params, xs)
+        utility = two_step_utility(params, b + delta, b)
+        vals = utility(xs, np.arange(len(b))[:, None])
         peak = np.ones(vals.shape, dtype=bool)
         peak[:, 1:-1] = (vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:])
         row, i = np.nonzero(peak)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, xs.shape[1] - 1)
-        f = lambda x: two_step_value(b[row] + delta[row], b[row], params, x)
+        f = lambda x: utility(x, row)
         x_star = golden_max(f, xs[row, lo], xs[row, hi])
         best_x, best_u = xs[row, i], vals[row, i]
         candidates = (x_star, f(x_star)), (xs[row, lo], vals[row, lo]), (xs[row, hi], vals[row, hi])

@@ -261,6 +261,38 @@ def test_test_config_errors(tmp_path, capsys):
     assert "error: test: unknown test type: 'mystery'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["coverage", "--sigma-range", "1"], {"delta_range": [0, 1]},
+         "delta_range: expected str, got [0, 1]"),
+        (["optimal", "--test", "constant", "--p", "0.5"], {"grid_step": [0.001]},
+         "grid_step: expected float, got [0.001]"),
+        (["coverage", "--delta-range", "0,1", "--sigma-range", "1"], {"mu0": None},
+         "mu0: expected float, got null"),
+        # int() would run 2 episodes with seed 1 while the output embeds 2.5 and 1.9
+        (["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1"],
+         {"episodes": 2.5, "seed": 1.9}, "episodes: expected int, got 2.5"),
+        (["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1"],
+         {"seed": 1.9}, "seed: expected int, got 1.9"),
+        # open(0) would read the audit from stdin
+        (["approx"], {"audit": 0}, "audit: expected str, got 0"),
+        # and open(0, "w") would write the output to stdin
+        (["design", "--mode", "static"], {"out": 0}, "out: expected str, got 0"),
+    ],
+)
+def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    flags = [] if "out" in config else ["--out", str(out)]
+    rc = main([argv[0], "--R", "4", "--c", "1", "--alpha", "0.5", *argv[1:],
+               "--config", str(cfg), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_approx_csv_and_precondition(tmp_path):
     audit = tmp_path / "audit.json"
     audit.write_text(

@@ -23,10 +23,14 @@ from auditopt.multistep import Audit, backward_induction
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
 P15 = VendorParams(R=1.5, c=1.0, alpha=0.5)
 PLOW = VendorParams(R=0.3, c=1.0, alpha=0.5)
+# the regime edges R/c = 1 - alpha and R/c = 1/(1 - alpha)
+PEDGE_LOW = VendorParams(R=0.5, c=1.0, alpha=0.5)
+PEDGE_HIGH = VendorParams(R=2.0, c=1.0, alpha=0.5)
 
 
 def grid_running_max(b, params, xs):
-    g = g_linear(b, params, xs)
+    """max_{y >= x} G^b(y) on the grid, from core.g_value: tail_value calls g_linear."""
+    g = g_value(LinearTest(b), params, xs)
     return np.maximum.accumulate(g[::-1])[::-1]
 
 
@@ -107,6 +111,10 @@ def test_capacity_gap_bound_values():
         (P4, 0.5),
         (P4, 3.0),
         (PLOW, 0.2),
+        (PEDGE_LOW, 0.0),
+        (PEDGE_LOW, 0.7),
+        (PEDGE_HIGH, 0.0),
+        (PEDGE_HIGH, 1.2),
     ],
 )
 def test_tail_value_matches_grid_oracle(params, b):
