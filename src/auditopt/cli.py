@@ -1,6 +1,10 @@
 """Command-line front end: solvers and sweeps with CSV/JSON output.
 
-Exit codes: 0 success, 2 config error, 3 regime/precondition error.
+Each parameter is declared once, in PARAMS, which builds the flags and
+type-checks every key a command reads, from a flag or a --config file. Each
+cmd_* returns its output files' text; main writes them once it has returned.
+
+Exit codes: 0 success, 2 config error or unwritable --out, 3 regime/precondition error.
 """
 
 from __future__ import annotations
@@ -8,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,87 +33,118 @@ CONFIG_ERROR = 2
 REGIME_ERROR = 3
 
 
-def _fmt(v: float) -> str:
-    if v == float("inf"):
-        return "inf"
-    return f"{v:.12g}"
-
-
-def _write_csv(path: str, header: str, rows, config: dict) -> None:
+def _csv(header: str, rows, config: dict) -> str:
     lines = [f"# auditopt {__version__}", f"# config: {json.dumps(config, sort_keys=True)}", header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload: dict, config: dict) -> None:
+def _json(payload: dict, config: dict) -> str:
     doc = {"version": __version__, "config": config, **payload}
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
     except ValueError:  # finite inputs so large that a result overflowed
         raise ConfigError("inputs out of range: a result is not finite")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge config-file values with flags; flags win on conflict."""
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}")
-        if not isinstance(config, dict):
-            raise ConfigError("config: file must hold a flat JSON object")
-    for key, val in vars(args).items():
-        if key in ("config", "command", "func") or val is None:
-            continue
-        config[key] = val
-    return config
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _get(config: dict, key: str, kind: type, default=None):
-    """config[key], or default if absent, when it has the JSON type kind (an
-    int passes for a float); a key without a default must be present."""
-    if key not in config and default is None:
+ALL = ("g-sweep", "optimal", "coverage", "design", "approx", "simulate")
+GRID = ("g-sweep", "optimal", "approx")  # the commands that solve on an effort grid
+TEST = ("g-sweep", "optimal", "simulate")
+
+# Each parameter, as the flag --KEY (with _ written as -) and the --config key
+# KEY, in flag order: its JSON type (an int passes for a float), its default
+# (None: required by every command that reads it), the commands that read it
+# and take its flag, and its choices
+Param = namedtuple("Param", "kind default commands choices", defaults=[None])
+PARAMS = {
+    "R": Param(float, None, ALL),
+    "c": Param(float, None, ALL),
+    "alpha": Param(float, None, ALL),
+    "out": Param(str, None, ALL),
+    "config": Param(str, None, ALL),
+    "grid_step": Param(float, 1e-3, GRID),
+    "x_max": Param(float, None, GRID),  # R/c + 1, set by _grid
+    "test": Param(str, None, TEST, ("threshold", "linear", "constant")),
+    "delta": Param(float, None, TEST),
+    "sigma": Param(float, None, TEST),
+    "b": Param(float, None, TEST),
+    "p": Param(float, None, TEST),
+    "delta_range": Param(str, None, ("coverage",)),
+    "sigma_range": Param(str, None, ("coverage",)),
+    "mu0": Param(float, 1.0, ("coverage",)),
+    "s0": Param(float, 1.5, ("coverage",)),
+    "mode": Param(str, None, ("design",), ("static", "easier-first", "harder-first")),
+    "epsilon": Param(float, 1e-2, ("design",)),
+    "audit": Param(str, None, ("approx", "simulate")),
+    "k_list": Param(str, "0,1,2,3", ("approx",)),
+    "schedule": Param(str, None, ("simulate",)),
+    "episodes": Param(int, 10000, ("simulate",)),
+    "seed": Param(int, 0, ("simulate",)),
+}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge config-file values with flags, flags winning on conflict, and check
+    the JSON type of every key the command reads; other keys are kept and ignored."""
+    flags = {key: val for key, val in vars(args).items() if key in PARAMS and val is not None}
+    path = flags.pop("config", None)
+    config = {}
+    if path:
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {path}: {exc}")
+        if not isinstance(config, dict):
+            raise ConfigError("config: file must hold a flat JSON object")
+    config.update(flags)
+    for key, val in config.items():
+        if key not in PARAMS or args.command not in PARAMS[key].commands:
+            continue
+        kind = PARAMS[key].kind
+        if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {json.dumps(val)}")
+    return config
+
+
+def _get(config: dict, key: str, default=None):
+    """config[key], else default, else the key's default in PARAMS; a key
+    with neither must be present."""
+    val = config.get(key, PARAMS[key].default if default is None else default)
+    if val is None:
         raise ConfigError(f"{key}: missing required parameter")
-    val = config.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {json.dumps(val)}")
-    return float(val) if kind is float else val
+    return float(val) if PARAMS[key].kind is float else val
 
 
 def _params(config: dict) -> VendorParams:
-    return VendorParams(*(_get(config, field, float) for field in ("R", "c", "alpha")))
+    return VendorParams(*(_get(config, field) for field in ("R", "c", "alpha")))
 
 
 def _grid(config: dict, params: VendorParams) -> GridSpec:
-    step = _get(config, "grid_step", float, 1e-3)
-    x_max = _get(config, "x_max", float, params.rosi + 1.0)
     try:
-        return GridSpec(x_max=x_max, step=step)
+        return GridSpec(x_max=_get(config, "x_max", params.rosi + 1.0),
+                        step=_get(config, "grid_step"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
 
 
 def _test(config: dict) -> TestFunction:
+    kind = _get(config, "test")
     try:
-        return TestFunction.from_json({**config, "type": config.get("test")})
+        return TestFunction.from_json({**config, "type": kind})
     except KeyError as exc:
-        raise ConfigError(f"test: {config.get('test')} requires {exc}")
-    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"test: {kind} requires {exc}")
+    except ValueError as exc:
         raise ConfigError(f"test: {exc}")
 
 
 def _audit(config: dict) -> Audit:
     """The finite-step audit in the JSON file named by the audit key."""
-    path = _get(config, "audit", str)
+    path = _get(config, "audit")
     try:
         with open(path) as fh:
             return Audit.from_json(json.load(fh))
@@ -154,115 +190,81 @@ def _parse_schedule(spec: str) -> Schedule:
     if horizon > MAX_GRID_POINTS:
         raise ConfigError(f"schedule: switch time {pairs[-1][0]} gives more than "
                           f"{MAX_GRID_POINTS} steps")
-    levels = []
-    k = 0
-    for t in range(horizon):
-        if k + 1 < len(pairs) and t >= pairs[k + 1][0]:
-            k += 1
-        levels.append(pairs[k][1])
+    levels = []  # each level holds until the next switch time; of two at one time, the larger
+    for (t, level), (t_next, _) in zip(pairs, pairs[1:] + [(horizon, 0.0)]):
+        levels += [level] * (t_next - t)
     try:
         return Schedule(levels=tuple(levels))
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}")
 
 
-def cmd_g_sweep(config: dict) -> int:
+def cmd_g_sweep(config: dict) -> dict:
     params = _params(config)
     grid = _grid(config, params)
     test = _test(config)
+    sol = optimal_strategy(test, params, grid)
     xs = grid.points()
     rows = zip(xs, g_value(test, params, xs), waiver_cost(test, params, xs))
-    _write_csv(config["out"], "x,G,CA", rows, config)
-    sol = optimal_strategy(test, params, grid)
-    _write_json(config["out"] + ".meta.json", {"solution": sol.to_json()}, config)
-    return 0
+    return {config["out"]: _csv("x,G,CA", rows, config),
+            config["out"] + ".meta.json": _json({"solution": sol.to_json()}, config)}
 
 
-def cmd_optimal(config: dict) -> int:
+def cmd_optimal(config: dict) -> dict:
     params = _params(config)
     sol = optimal_strategy(_test(config), params, _grid(config, params))
-    _write_json(config["out"], {"solution": sol.to_json()}, config)
-    return 0
+    return {config["out"]: _json({"solution": sol.to_json()}, config)}
 
 
-def cmd_coverage(config: dict) -> int:
+def cmd_coverage(config: dict) -> dict:
     params = _params(config)
-    deltas = _parse_range(_get(config, "delta_range", str, ""), "delta_range")
-    sigmas = _parse_range(_get(config, "sigma_range", str, ""), "sigma_range")
+    deltas = _parse_range(_get(config, "delta_range"), "delta_range")
+    sigmas = _parse_range(_get(config, "sigma_range"), "sigma_range")
     if len(deltas) * len(sigmas) > MAX_GRID_POINTS:
         raise ConfigError(f"coverage: {len(deltas)} x {len(sigmas)} cells is more than "
                           f"{MAX_GRID_POINTS}")
     if any(s <= 0 for s in sigmas):
         raise ConfigError("sigma_range: sigma values must be positive")
-    cells = coverage_grid(
-        deltas, sigmas, _get(config, "mu0", float, 1.0), _get(config, "s0", float, 1.5), params
-    )
+    cells = coverage_grid(deltas, sigmas, _get(config, "mu0"), _get(config, "s0"), params)
     rows = ((cell.delta, cell.sigma, cell.gamma_bar) for cell in cells)
-    _write_csv(config["out"], "delta,sigma,gamma_bar", rows, config)
-    return 0
+    return {config["out"]: _csv("delta,sigma,gamma_bar", rows, config)}
 
 
-def cmd_design(config: dict) -> int:
+def cmd_design(config: dict) -> dict:
     params = _params(config)
-    mode = config.get("mode")
+    mode = _get(config, "mode")
     if mode == "static":
         design = design_static(params)
     elif mode == "easier-first":
         design = design_dynamic_easier_first(params)
     elif mode == "harder-first":
-        design = design_dynamic_harder_first(params, epsilon=_get(config, "epsilon", float, 1e-2))
+        design = design_dynamic_harder_first(params, epsilon=_get(config, "epsilon"))
     else:
         raise ConfigError(f"mode: must be static, easier-first or harder-first, got {mode!r}")
-    _write_json(config["out"], {"design": design.to_json()}, config)
-    return 0
+    return {config["out"]: _json({"design": design.to_json()}, config)}
 
 
-def cmd_approx(config: dict) -> int:
+def cmd_approx(config: dict) -> dict:
     params = _params(config)
     audit = _audit(config)
-    ks = [int(k) for k in str(config.get("k_list", "0,1,2,3")).split(",")]
+    spec = _get(config, "k_list")
+    try:
+        ks = [int(k) for k in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"k_list: cannot parse {spec!r}")
     study = approximation_study(audit, params, _grid(config, params), ks)
     rows = ((r.k, r.measured_error, r.bound, r.maximizer) for r in study.rows)
-    _write_csv(config["out"], "k,measured_error,bound,maximizer", rows, config)
-    return 0
+    return {config["out"]: _csv("k,measured_error,bound,maximizer", rows, config)}
 
 
-def cmd_simulate(config: dict) -> int:
+def cmd_simulate(config: dict) -> dict:
     params = _params(config)
-    schedule = _parse_schedule(str(config.get("schedule", "")))
+    schedule = _parse_schedule(_get(config, "schedule"))
     audit = _audit(config) if "audit" in config else Audit(prefix=(), tail=_test(config))
-    result = simulate(
-        schedule,
-        audit,
-        params,
-        episodes=_get(config, "episodes", int, 10000),
-        seed=_get(config, "seed", int, 0),
-    )
+    result = simulate(schedule, audit, params, episodes=_get(config, "episodes"),
+                      seed=_get(config, "seed"))
     analytic = evaluate_schedule(schedule, audit, params)
-    _write_json(config["out"], {"result": result.to_json(), "analytic": analytic}, config)
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--R", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--out", required=False)
-    p.add_argument("--config")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    """The effort grid, read only by the subcommands that solve on it."""
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-
-
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--test", choices=["threshold", "linear", "constant"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--p", type=float)
+    return {config["out"]: _json({"result": result.to_json(), "analytic": analytic}, config)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,48 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"auditopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("g-sweep", help="sweep net utility and waiver cost over effort")
-    _add_common(p)
-    _add_grid_flags(p)
-    _add_test_flags(p)
-    p.set_defaults(func=cmd_g_sweep)
-
-    p = sub.add_parser("optimal", help="optimal investment strategy for a test")
-    _add_common(p)
-    _add_grid_flags(p)
-    _add_test_flags(p)
-    p.set_defaults(func=cmd_optimal)
-
-    p = sub.add_parser("coverage", help="participation threshold over (delta, sigma)")
-    _add_common(p)
-    p.add_argument("--delta-range", dest="delta_range")
-    p.add_argument("--sigma-range", dest="sigma_range")
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--s0", type=float)
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("design", help="linear audit designers")
-    _add_common(p)
-    p.add_argument("--mode", choices=["static", "easier-first", "harder-first"])
-    p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("approx", help="truncation error study for a finite-step audit")
-    _add_common(p)
-    _add_grid_flags(p)
-    p.add_argument("--audit")
-    p.add_argument("--k-list", dest="k_list")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("simulate", help="Monte Carlo of a schedule under an audit")
-    _add_common(p)
-    _add_test_flags(p)
-    p.add_argument("--audit")
-    p.add_argument("--schedule")
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_simulate)
+    for name, func, summary in (
+        ("g-sweep", cmd_g_sweep, "sweep net utility and waiver cost over effort"),
+        ("optimal", cmd_optimal, "optimal investment strategy for a test"),
+        ("coverage", cmd_coverage, "participation threshold over (delta, sigma)"),
+        ("design", cmd_design, "linear audit designers"),
+        ("approx", cmd_approx, "truncation error study for a finite-step audit"),
+        ("simulate", cmd_simulate, "Monte Carlo of a schedule under an audit"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for key, spec in PARAMS.items():
+            if name in spec.commands:
+                p.add_argument("--" + key.replace("_", "-"), type=spec.kind, choices=spec.choices)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -320,11 +293,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve(args)
-        _get(config, "out", str)
-        return args.func(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        _get(config, "out")
+        for path, text in args.func(config).items():
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"out: cannot write {path}: {exc.strerror}")
+        return 0
     except (RegimeError, PreconditionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return REGIME_ERROR

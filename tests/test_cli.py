@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -279,6 +280,14 @@ def test_test_config_errors(tmp_path, capsys):
         (["approx"], {"audit": 0}, "audit: expected str, got 0"),
         # and open(0, "w") would write the output to stdin
         (["design", "--mode", "static"], {"out": 0}, "out: expected str, got 0"),
+        # float() would take the strings, and the output would embed them
+        (["optimal", "--test", "threshold"], {"delta": "1", "sigma": "1"},
+         'delta: expected float, got "1"'),
+        (["approx"], {"k_list": [0, 1]}, "k_list: expected str, got [0, 1]"),
+        (["design"], {"mode": ["static"]}, 'mode: expected str, got ["static"]'),
+        (["simulate", "--test", "constant", "--p", "0.5"], {"schedule": 5},
+         "schedule: expected str, got 5"),
+        (["simulate", "--schedule", "0:1"], {"test": 5}, "test: expected str, got 5"),
     ],
 )
 def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, config, message):
@@ -293,9 +302,42 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, con
     assert not out.exists()
 
 
-def test_approx_csv_and_precondition(tmp_path):
+@pytest.mark.parametrize(
+    "argv", [["design", "--mode", "static"], ["coverage", "--delta-range", "1", "--sigma-range", "1"]]
+)
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv, missing):
+    out = tmp_path / "absent" / "out" if missing else tmp_path  # a directory
+    rc = main([argv[0], "--R", "4", "--c", "1", "--alpha", "0.5", *argv[1:], "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {out}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_g_sweep_writes_nothing_when_the_solver_refuses_the_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["g-sweep", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "constant",
+               "--p", "0.5", "--x-max", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grid.x_max must be >= R/c = 4.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k_list", ["x", "0,,1"])
+def test_approx_k_list_errors_name_their_key(tmp_path, capsys, k_list):
     audit = tmp_path / "audit.json"
-    audit.write_text(
+    audit.write_text(json.dumps({"prefix": [], "tail": {"type": "constant", "p": 0.4}}))
+    out = tmp_path / "study.csv"
+    rc = main(["approx", "--audit", str(audit), "--R", "4", "--c", "1", "--alpha", "0.5",
+               "--k-list", k_list, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: k_list: cannot parse {k_list!r}\n"
+    assert not out.exists()
+
+
+def write_ten_step_audit(path):
+    path.write_text(
         json.dumps(
             {
                 "prefix": [{"type": "linear", "b": 0.5 + 0.2 * i} for i in range(10)],
@@ -303,6 +345,29 @@ def test_approx_csv_and_precondition(tmp_path):
             }
         )
     )
+
+
+def readme_commands():
+    """The argv of each auditopt command in README.md's CLI examples block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("auditopt ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_ten_step_audit(tmp_path / "audit.json")
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
+
+
+def test_approx_csv_and_precondition(tmp_path):
+    audit = tmp_path / "audit.json"
+    write_ten_step_audit(audit)
     out = tmp_path / "study.csv"
     rc = main(
         [
@@ -482,6 +547,17 @@ def test_simulate_refuses_a_schedule_longer_than_the_grid_cap(tmp_path):
     assert rc == 2
     assert time.perf_counter() - start < 1.0
     assert not out.exists()
+
+
+def test_a_switch_time_given_twice_holds_the_larger_level(tmp_path):
+    analytic = []
+    for spec in ("0:1,0:2,0:3,1:4", "0:3,1:4"):
+        out = tmp_path / "s.json"
+        rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--schedule", spec,
+                              "--episodes", "10", "--out", str(out)])
+        assert rc == 0
+        analytic.append(json.loads(out.read_text())["analytic"])
+    assert analytic[0] == analytic[1]
 
 
 def test_simulate_rejects_a_negative_seed(tmp_path, capsys):

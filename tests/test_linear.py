@@ -29,7 +29,7 @@ PEDGE_HIGH = VendorParams(R=2.0, c=1.0, alpha=0.5)
 
 
 def grid_running_max(b, params, xs):
-    """max_{y >= x} G^b(y) on the grid, from core.g_value: tail_value calls g_linear."""
+    """max_{y >= x} G^b(y) as a running max over the grid, against tail_value's ramp peak."""
     g = g_value(LinearTest(b), params, xs)
     return np.maximum.accumulate(g[::-1])[::-1]
 
