@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -106,7 +107,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if key not in PARAMS or args.command not in PARAMS[key].commands:
             continue
         kind = PARAMS[key].kind
-        if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        if (isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind)
+                or kind is float and isinstance(val, int) and abs(val) > sys.float_info.max):
             raise ConfigError(f"{key}: expected {kind.__name__}, got {json.dumps(val)}")
     return config
 
@@ -184,13 +186,15 @@ def _parse_schedule(spec: str) -> Schedule:
         )
     except (ValueError, IndexError):
         raise ConfigError(f"schedule: cannot parse {spec!r}")
+    if len({t for t, _ in pairs}) < len(pairs):
+        raise ConfigError("schedule: a switch time is given twice")
     if not pairs or pairs[0][0] != 0:
         raise ConfigError("schedule: must start with a t=0 level")
     horizon = pairs[-1][0] + 1
     if horizon > MAX_GRID_POINTS:
         raise ConfigError(f"schedule: switch time {pairs[-1][0]} gives more than "
                           f"{MAX_GRID_POINTS} steps")
-    levels = []  # each level holds until the next switch time; of two at one time, the larger
+    levels = []  # each level holds until the next switch time
     for (t, level), (t_next, _) in zip(pairs, pairs[1:] + [(horizon, 0.0)]):
         levels += [level] * (t_next - t)
     try:
@@ -294,11 +298,15 @@ def main(argv=None) -> int:
     try:
         config = _resolve(args)
         _get(config, "out")
+        written = []  # removed again if a later path cannot be written
         for path, text in args.func(config).items():
             try:
                 with open(path, "w") as fh:
+                    written.append(path)
                     fh.write(text)
             except OSError as exc:
+                for done in written:
+                    os.remove(done)
                 raise ConfigError(f"out: cannot write {path}: {exc.strerror}")
         return 0
     except (RegimeError, PreconditionError, IndexError) as exc:

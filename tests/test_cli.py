@@ -288,6 +288,10 @@ def test_test_config_errors(tmp_path, capsys):
         (["simulate", "--test", "constant", "--p", "0.5"], {"schedule": 5},
          "schedule: expected str, got 5"),
         (["simulate", "--schedule", "0:1"], {"test": 5}, "test: expected str, got 5"),
+        # float() would raise OverflowError, which is not a ValueError
+        pytest.param(["coverage", "--delta-range", "0,1", "--sigma-range", "1"],
+                     {"mu0": 10**400}, "mu0: expected float, got 1" + "0" * 400,
+                     id="mu0-beyond-float"),
     ],
 )
 def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, config, message):
@@ -322,6 +326,16 @@ def test_g_sweep_writes_nothing_when_the_solver_refuses_the_grid(tmp_path, capsy
     assert rc == 2
     assert capsys.readouterr().err == "error: grid.x_max must be >= R/c = 4.0\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_g_sweep_removes_its_csv_when_the_meta_file_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "sweep.csv.meta.json").mkdir()
+    out = tmp_path / "sweep.csv"
+    rc = main(["g-sweep", "--R", "4", "--c", "1", "--alpha", "0.5", "--test", "constant",
+               "--p", "0.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: out: cannot write {out}.meta.json: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv.meta.json"]
 
 
 @pytest.mark.parametrize("k_list", ["x", "0,,1"])
@@ -549,15 +563,13 @@ def test_simulate_refuses_a_schedule_longer_than_the_grid_cap(tmp_path):
     assert not out.exists()
 
 
-def test_a_switch_time_given_twice_holds_the_larger_level(tmp_path):
-    analytic = []
-    for spec in ("0:1,0:2,0:3,1:4", "0:3,1:4"):
-        out = tmp_path / "s.json"
-        rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--schedule", spec,
-                              "--episodes", "10", "--out", str(out)])
-        assert rc == 0
-        analytic.append(json.loads(out.read_text())["analytic"])
-    assert analytic[0] == analytic[1]
+def test_a_switch_time_given_twice_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--schedule", "0:1,1:2,1:3",
+                          "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: schedule: a switch time is given twice\n"
+    assert not out.exists()
 
 
 def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
