@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import g_value, grid_peaks, refine_peaks
+from .core import grid_peaks, refine_peaks
 from .types import GridSpec, VendorParams
 
 
@@ -37,10 +37,16 @@ def rosi_case(params: VendorParams) -> RosiCase:
 
 
 def g_linear(b, params: VendorParams, x):
-    """Net utility of a one-time investment under the static linear-b audit:
-    core.g_value with the ramp test clip(x - b, 0, 1), where b may be an array."""
+    """Net utility of a one-time investment under the static linear-b audit.
+
+    Three-piece closed form; identical to core.g_value with LinearTest(b).
+    """
+    x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
-    return g_value(lambda y: np.minimum(np.maximum(y - b, 0.0), 1.0), params, x)
+    c, R, a = params.c, params.R, params.alpha
+    t = np.minimum(np.maximum(x - b, 0.0), 1.0)
+    val = -c * x + R * t / (1.0 - a + a * t)
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

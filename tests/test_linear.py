@@ -29,10 +29,8 @@ PEDGE_HIGH = VendorParams(R=2.0, c=1.0, alpha=0.5)
 
 
 def grid_running_max(b, params, xs):
-    """max_{y >= x} G^b(y) as a running max over the grid. G^b is written out
-    here, because tail_value reads it from g_linear and g_linear from g_value."""
-    t = np.clip(xs - b, 0.0, 1.0)
-    g = -params.c * xs + t * params.R / (1.0 - params.alpha + params.alpha * t)
+    """max_{y >= x} G^b(y) on the grid, from core.g_value: tail_value calls g_linear."""
+    g = g_value(LinearTest(b), params, xs)
     return np.maximum.accumulate(g[::-1])[::-1]
 
 
