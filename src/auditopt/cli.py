@@ -2,7 +2,7 @@
 
 Each parameter is declared once, in PARAMS, which builds the flags and
 type-checks every key a command reads, from a flag or a --config file. Each
-cmd_* returns its output files' text; main writes them once it has returned.
+cmd_* returns its output files' text; main writes all or none once it returns.
 
 Exit codes: 0 success, 2 config error or unwritable --out, 3 regime/precondition error.
 """
