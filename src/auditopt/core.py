@@ -128,9 +128,13 @@ def refine_peaks(f, bx: np.ndarray, bu: np.ndarray):
     return x, u
 
 
-def _running_max(values: np.ndarray) -> np.ndarray:
-    """max_{y >= x} values(y) on the grid, one right-to-left pass."""
-    return np.maximum.accumulate(values[::-1])[::-1]
+def _running_max(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max_{y >= x} values(y) on the grid, one right-to-left pass, into out if given.
+
+    fmax is faster than maximum and equal to it on finite input, except that
+    on a tie between -0.0 and +0.0 the two can return different signs.
+    """
+    return np.fmax.accumulate(values[::-1], out=None if out is None else out[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -276,12 +280,16 @@ def value_iteration_oracle(
     need = math.log(tol * (1.0 - a) / max(R, 1.0)) / math.log(a)
     max_iter = int(abs(need)) * 4 + 100
 
-    V = np.zeros_like(xs)
+    w, cx = a * (1.0 - p), c * xs  # w*V rounds exactly as a*(1-p)*V
+    V, V_new, change = np.zeros_like(xs), np.empty_like(xs), np.empty_like(xs)
     thresh = tol * (1.0 - a)
     for _ in range(max_iter):
-        q = base + a * (1.0 - p) * V
-        V_new = np.maximum(0.0, c * xs + _running_max(q))
-        if np.max(np.abs(V_new - V)) < thresh:
+        np.multiply(w, V, out=V_new)
+        V_new += base
+        np.add(_running_max(V_new, out=V_new), cx, out=V_new)
+        np.maximum(0.0, V_new, out=V_new)
+        # every step is monotone and V starts at 0, so V never decreases: no abs
+        if np.subtract(V_new, V, out=change).max() < thresh:
             return ValueFunction(xs=xs, values=V_new)
-        V = V_new
+        V, V_new = V_new, V
     raise RuntimeError(f"value iteration failed to converge in {max_iter} sweeps")

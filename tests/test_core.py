@@ -253,6 +253,54 @@ def test_value_iteration_never_quits():
     assert np.min(continuation) >= -1e-6
 
 
+def _vi_cases(seed, n):
+    """Seeded (test, params, grid) cases of all three test kinds."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        R, c, a = rng.uniform(0.5, 8.0), rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.95)
+        rosi = R / c
+        test = [
+            ThresholdTest(rng.uniform(0.1, rosi), rng.uniform(0.2, 2.0)),
+            LinearTest(rng.uniform(0.0, rosi)),
+            ConstantTest(rng.uniform(0.0, 1.0)),
+        ][i % 3]
+        yield test, VendorParams(R, c, a), GridSpec(rosi + 1.0, [1e-2, 1e-3][(i // 3) % 2])
+
+
+def _plain_value_iteration(test, params, grid, tol):
+    """The sweep written out plainly: fresh arrays, maximum.accumulate and abs."""
+    xs = grid.points()
+    p = test(xs)
+    c, R, a = params.c, params.R, params.alpha
+    base = -c * xs + p * R
+    V = np.zeros_like(xs)
+    while True:
+        q = base + a * (1.0 - p) * V
+        V_new = np.maximum(0.0, c * xs + np.maximum.accumulate(q[::-1])[::-1])
+        if np.max(np.abs(V_new - V)) < tol * (1.0 - a):
+            return V_new
+        V = V_new
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_value_iteration_equals_the_plain_loop_bit_for_bit(tol):
+    for test, params, grid in _vi_cases(7, 12):
+        vf = value_iteration_oracle(test, params, grid, tol=tol)
+        assert vf.values.tobytes() == _plain_value_iteration(test, params, grid, tol).tobytes()
+
+
+def test_running_max_equals_maximum_accumulate():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 100, 2140):
+        # coarse values, so ties occur; + 0.0 turns -0.0 into +0.0, whose tie may differ in sign
+        v = np.round(rng.standard_normal(n) * 4.0) / 4.0 + 0.0
+        expected = np.maximum.accumulate(v[::-1])[::-1]
+        assert core._running_max(v).tobytes() == expected.tobytes()
+        out = v.copy()
+        core._running_max(out, out=out)
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_grid_default_covers_capacity():
     grid = default_grid(P4)
     assert grid.x_max >= P4.R / P4.c
