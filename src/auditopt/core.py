@@ -262,7 +262,9 @@ def value_iteration_oracle(
 
     V(x) = max{0, max_{y >= x} [c*x - c*y + p(y)*R + alpha*(1-p(y))*V(y)]},
     with the inner maximum computed by one right-to-left running-max pass.
-    Stops when the sup-norm change drops below tol*(1-alpha).
+    Stops when the sup-norm change drops below tol*(1-alpha)*R: the sweeps
+    never decrease V, so the returned V lies at or below the fixed point and
+    within alpha*tol*R of it, in every money unit.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
@@ -277,12 +279,12 @@ def value_iteration_oracle(
     base = -c * xs + p * R  # y-dependent part excluding the continuation term
 
     # contraction factor <= alpha; generous cap on top of the analytic count
-    need = math.log(tol * (1.0 - a) / max(R, 1.0)) / math.log(a)
+    need = math.log(tol * (1.0 - a)) / math.log(a)
     max_iter = int(abs(need)) * 4 + 100
 
     w, cx = a * (1.0 - p), c * xs  # w*V rounds exactly as a*(1-p)*V
     V, V_new, change = np.zeros_like(xs), np.empty_like(xs), np.empty_like(xs)
-    thresh = tol * (1.0 - a)
+    thresh = tol * (1.0 - a) * R
     for _ in range(max_iter):
         np.multiply(w, V, out=V_new)
         V_new += base

@@ -277,7 +277,7 @@ def _plain_value_iteration(test, params, grid, tol):
     while True:
         q = base + a * (1.0 - p) * V
         V_new = np.maximum(0.0, c * xs + np.maximum.accumulate(q[::-1])[::-1])
-        if np.max(np.abs(V_new - V)) < tol * (1.0 - a):
+        if np.max(np.abs(V_new - V)) < tol * (1.0 - a) * R:
             return V_new
         V = V_new
 
@@ -287,6 +287,24 @@ def test_value_iteration_equals_the_plain_loop_bit_for_bit(tol):
     for test, params, grid in _vi_cases(7, 12):
         vf = value_iteration_oracle(test, params, grid, tol=tol)
         assert vf.values.tobytes() == _plain_value_iteration(test, params, grid, tol).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_value_iteration_stops_below_and_within_alpha_tol_r_of_the_fixed_point(tol):
+    for test, params, grid in _vi_cases(11, 12):
+        loose = value_iteration_oracle(test, params, grid, tol=tol).values
+        tight = value_iteration_oracle(test, params, grid, tol=1e-13).values
+        assert np.all(tight - loose >= 0.0)
+        assert np.all(tight - loose <= params.alpha * tol * params.R)
+
+
+@pytest.mark.parametrize("j", [-3, 5])
+def test_value_iteration_scales_exactly_with_the_money_unit(j):
+    s = 2.0**j
+    for test, params, grid in _vi_cases(5, 12):
+        scaled = VendorParams(s * params.R, s * params.c, params.alpha)
+        values = value_iteration_oracle(test, params, grid).values
+        assert value_iteration_oracle(test, scaled, grid).values.tobytes() == (s * values).tobytes()
 
 
 def test_running_max_equals_maximum_accumulate():
