@@ -204,7 +204,7 @@ def enumerate_schedules(
 
     One one-and-done schedule per maximizer. With two or more maximizers,
     incremental schedules step through the ascending maximizer levels at the
-    given switch times (default: t = 1, 2, ...).
+    given strictly increasing switch times >= 1 (default: t = 1, 2, ...).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -218,8 +218,9 @@ def enumerate_schedules(
     if len(levels) >= 2:
         if switch_times is None:
             switch_times = list(range(1, len(levels)))
-        if len(switch_times) != len(levels) - 1 or sorted(switch_times) != list(switch_times):
-            raise ValueError("need one ascending switch time per level transition")
+        steps = np.diff([0, *switch_times])
+        if len(switch_times) != len(levels) - 1 or not np.all(steps >= 1):
+            raise ValueError("need one strictly increasing switch time >= 1 per level transition")
         seq = []
         nxt = 0
         for t in range(horizon):

@@ -217,6 +217,16 @@ def test_enumerate_schedules_two_maximizers():
     assert one_levels == {x_lo, x_hi}
 
 
+def test_enumerate_schedules_visits_every_level():
+    sol = core.StrategySolution(utility=1.0, maximizers=(0.5, 1.0, 2.0), tie_tol=1e-6)
+    inc = enumerate_schedules(sol, horizon=4, switch_times=[1, 3])[-1]
+    assert inc.levels == (0.5, 1.0, 1.0, 2.0)
+    # a repeated time or a switch at t = 0 would skip a level
+    for bad in ([2, 2], [0, 1], [3, 1], [1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            enumerate_schedules(sol, horizon=4, switch_times=bad)
+
+
 def test_enumerate_schedules_rejects_empty_horizon():
     sol = optimal_strategy(ConstantTest(1.0), P4)
     with pytest.raises(ValueError):
