@@ -131,8 +131,7 @@ def refine_peaks(f, bx: np.ndarray, bu: np.ndarray):
 def _running_max(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max_{y >= x} values(y) on the grid, one right-to-left pass, into out if given.
 
-    fmax is faster than maximum and equal to it on finite input, except that
-    on a tie between -0.0 and +0.0 the two can return different signs.
+    fmax equals maximum on finite input, only faster; a tie of -0.0 and +0.0 may differ in sign.
     """
     return np.fmax.accumulate(values[::-1], out=None if out is None else out[::-1])[::-1]
 
@@ -218,8 +217,7 @@ def enumerate_schedules(
     if len(levels) >= 2:
         if switch_times is None:
             switch_times = list(range(1, len(levels)))
-        steps = np.diff([0, *switch_times])
-        if len(switch_times) != len(levels) - 1 or not np.all(steps >= 1):
+        if len(switch_times) != len(levels) - 1 or not np.all(np.diff([0, *switch_times]) >= 1):
             raise ValueError("need one strictly increasing switch time >= 1 per level transition")
         seq = []
         nxt = 0
@@ -263,9 +261,9 @@ def value_iteration_oracle(
 
     V(x) = max{0, max_{y >= x} [c*x - c*y + p(y)*R + alpha*(1-p(y))*V(y)]},
     with the inner maximum computed by one right-to-left running-max pass.
-    Stops when the sup-norm change drops below tol*(1-alpha)*R: the sweeps
-    never decrease V, so the returned V lies at or below the fixed point and
-    within alpha*tol*R of it, in every money unit.
+    Stops when the sup-norm change drops below tol*(1-alpha)*R. Each step of a
+    sweep is monotone and V starts at 0, so V never decreases: the returned V
+    lies at or below the fixed point and within alpha*tol*R of it.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
@@ -291,7 +289,6 @@ def value_iteration_oracle(
         V_new += base
         np.add(_running_max(V_new, out=V_new), cx, out=V_new)
         np.maximum(0.0, V_new, out=V_new)
-        # every step is monotone and V starts at 0, so V never decreases: no abs
         if np.subtract(V_new, V, out=change).max() < thresh:
             return ValueFunction(xs=xs, values=V_new)
         V, V_new = V_new, V
