@@ -131,7 +131,8 @@ def refine_peaks(f, bx: np.ndarray, bu: np.ndarray):
 def _running_max(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max_{y >= x} values(y) on the grid, one right-to-left pass, into out if given.
 
-    fmax equals maximum on finite input, only faster; a tie of -0.0 and +0.0 may differ in sign.
+    fmax equals maximum on finite input, only faster. On a tie of -0.0 and +0.0 the
+    sign may differ, but value iteration makes no -0.0, as c*x is at least +0.0.
     """
     return np.fmax.accumulate(values[::-1], out=None if out is None else out[::-1])[::-1]
 
@@ -278,8 +279,7 @@ def value_iteration_oracle(
     base = -c * xs + p * R  # y-dependent part excluding the continuation term
 
     # contraction factor <= alpha; generous cap on top of the analytic count
-    need = math.log(tol * (1.0 - a)) / math.log(a)
-    max_iter = int(abs(need)) * 4 + 100
+    max_iter = int(abs(math.log(tol * (1.0 - a)) / math.log(a))) * 4 + 100
 
     w, cx = a * (1.0 - p), c * xs  # w*V rounds exactly as a*(1-p)*V
     V, V_new, change = np.zeros_like(xs), np.empty_like(xs), np.empty_like(xs)

@@ -284,12 +284,13 @@ def _plain_value_iteration(test, params, grid, tol):
     c, R, a = params.c, params.R, params.alpha
     base = -c * xs + p * R
     V = np.zeros_like(xs)
-    while True:
+    for _ in range(10_000):
         q = base + a * (1.0 - p) * V
         V_new = np.maximum(0.0, c * xs + np.maximum.accumulate(q[::-1])[::-1])
         if np.max(np.abs(V_new - V)) < tol * (1.0 - a) * R:
             return V_new
         V = V_new
+    raise AssertionError("the plain loop did not converge")
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
