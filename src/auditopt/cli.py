@@ -28,7 +28,8 @@ from .linear import (
 from .multistep import Audit, PreconditionError, approximation_study
 from .sim import evaluate_schedule, simulate
 from .threshold import coverage_grid
-from .types import MAX_GRID_POINTS, GridSpec, Schedule, TestFunction, VendorParams
+from .types import (MAX_GRID_POINTS, GridSpec, Schedule, TestFunction, VendorParams,
+                    _switch_levels)
 
 CONFIG_ERROR = 2
 REGIME_ERROR = 3
@@ -190,15 +191,9 @@ def _parse_schedule(spec: str) -> Schedule:
         raise ConfigError("schedule: a switch time is given twice")
     if not pairs or pairs[0][0] != 0:
         raise ConfigError("schedule: must start with a t=0 level")
-    horizon = pairs[-1][0] + 1
-    if horizon > MAX_GRID_POINTS:
-        raise ConfigError(f"schedule: switch time {pairs[-1][0]} gives more than "
-                          f"{MAX_GRID_POINTS} steps")
-    levels = []  # each level holds until the next switch time
-    for (t, level), (t_next, _) in zip(pairs, pairs[1:] + [(horizon, 0.0)]):
-        levels += [level] * (t_next - t)
+    times, levels = zip(*pairs)
     try:
-        return Schedule(levels=tuple(levels))
+        return Schedule(levels=_switch_levels(levels, times[1:]))
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}")
 

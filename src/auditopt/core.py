@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import GridSpec, Schedule, TestFunction, VendorParams, default_grid
+from .types import GridSpec, Schedule, TestFunction, VendorParams, _switch_levels, default_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = np.array([0, -1, 1])  # grid offsets of a peak, its left and its right neighbour
@@ -202,31 +202,26 @@ def enumerate_schedules(
 ) -> list[Schedule]:
     """Concrete optimal investment schedules drawn from the maximizer set.
 
-    One one-and-done schedule per maximizer. With two or more maximizers,
-    incremental schedules step through the ascending maximizer levels at the
-    given strictly increasing switch times >= 1 (default: t = 1, 2, ...).
+    One one-and-done schedule of `horizon` steps per maximizer. With two or
+    more maximizers, one incremental schedule steps through the ascending
+    maximizer levels at the given strictly increasing switch times >= 1
+    (default: t = 1, 2, ...); it runs past `horizon` to its last switch time,
+    so every level is reached. A schedule has at most MAX_GRID_POINTS steps.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if not solution.maximizers:
         raise ValueError("solution has no maximizers")
 
     schedules = [
-        Schedule(levels=(m,) * horizon, kind="one_and_done") for m in solution.maximizers
+        Schedule(levels=_switch_levels((m,), (), horizon), kind="one_and_done")
+        for m in solution.maximizers
     ]
     levels = sorted(solution.maximizers)
     if len(levels) >= 2:
         if switch_times is None:
-            switch_times = list(range(1, len(levels)))
-        if len(switch_times) != len(levels) - 1 or not np.all(np.diff([0, *switch_times]) >= 1):
-            raise ValueError("need one strictly increasing switch time >= 1 per level transition")
-        seq = []
-        nxt = 0
-        for t in range(horizon):
-            while nxt < len(switch_times) and t >= switch_times[nxt]:
-                nxt += 1
-            seq.append(levels[nxt])
-        schedules.append(Schedule(levels=tuple(seq), kind="incremental"))
+            switch_times = range(1, len(levels))
+        schedules.append(
+            Schedule(levels=_switch_levels(levels, switch_times, horizon), kind="incremental")
+        )
     return schedules
 
 

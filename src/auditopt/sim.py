@@ -61,7 +61,6 @@ def simulate(
     params: VendorParams,
     episodes: int,
     seed: int,
-    horizon_eps: float | None = None,
 ) -> SimResult:
     """Seeded Monte Carlo of the repeated-audit episode process.
 
@@ -70,22 +69,19 @@ def simulate(
     still running at step t are interchangeable: the number that pass is one
     Binomial(alive, p_t) draw. The cost of step t is charged before that
     step's test. Episodes are truncated once the remaining discounted
-    revenue alpha^t * R/(1-alpha) falls below horizon_eps (default
-    1e-9 * R), having paid the costs of every step they played. Episodes
-    that pass at the same step earn the same utility, as do the truncated
-    ones, so the mean and variance follow from those counts: time and
-    memory grow with the steps played, not with the episodes.
+    revenue alpha^t * R/(1-alpha) falls below 1e-9 * R, having paid the
+    costs of every step they played. Episodes that pass at the same step
+    earn the same utility, as do the truncated ones, so the mean and
+    variance follow from those counts: time and memory grow with the steps
+    played, not with the episodes.
     """
     if not isinstance(episodes, Integral) or not 1 <= episodes < 2**63:
         raise ValueError("episodes must be an integer in [1, 2**63)")
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if horizon_eps is None:
-        horizon_eps = 1e-9 * params.R
-    if not horizon_eps > 0:
-        raise ValueError("horizon_eps must be a positive number")
 
     c, R, a = params.c, params.R, params.alpha
+    horizon_eps = 1e-9 * R
     rng = np.random.default_rng(seed)
     histogram: dict[int, int] = {}
     counts: list[int] = []  # episodes per distinct utility
@@ -127,21 +123,16 @@ def simulate(
     )
 
 
-def never_quit_audit_trail(
-    audit: Audit,
-    params: VendorParams,
-    schedule: Schedule,
-    grid: GridSpec | None = None,
-) -> tuple:
+def never_quit_audit_trail(audit: Audit, params: VendorParams, schedule: Schedule) -> tuple:
     """Continuation value c*x + U*_t(x) entering each scheduled step.
 
     Every entry is the analytic reward-to-go of continuing rather than
-    quitting; non-negativity shows quitting is never strictly optimal.
+    quitting; non-negativity shows quitting is never strictly optimal. The
+    values come from backward induction on the 1e-3 grid over
+    [0, max(R/c, levels) + 1].
     """
-    if grid is None:
-        x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
-        grid = GridSpec(x_max=x_cap, step=1e-3)
-    nvf = backward_induction(audit, params, grid)
+    x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
+    nvf = backward_induction(audit, params, GridSpec(x_max=x_cap, step=1e-3))
     steps = nvf.step_values
 
     values = []

@@ -161,6 +161,24 @@ def default_grid(params: VendorParams) -> GridSpec:
     return GridSpec(x_max=params.rosi + 1.0, step=1e-3)
 
 
+def _switch_levels(levels, switch_times, horizon: int = 1) -> tuple:
+    """Per-step levels: levels[0] holds from t = 0, levels[i] from switch_times[i-1] on.
+
+    The result has max(horizon, last switch time + 1) steps, so every level
+    is reached, and at most MAX_GRID_POINTS.
+    """
+    times = [0, *switch_times]
+    if len(times) != len(levels) or any(t_next - t < 1 for t, t_next in zip(times, times[1:])):
+        raise ValueError("need one strictly increasing switch time >= 1 per level transition")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    steps = max(horizon, times[-1] + 1)
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"{steps} steps are more than {MAX_GRID_POINTS}")
+    return tuple(lv for lv, t, t_next in zip(levels, times, [*times[1:], steps])
+                 for _ in range(t_next - t))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Non-decreasing sequence of cumulative effort levels; last level repeats forever."""

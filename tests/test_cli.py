@@ -10,8 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auditopt import LinearTest, VendorParams, optimal_strategy
-from auditopt.cli import main
+from auditopt import (
+    LinearTest,
+    StrategySolution,
+    VendorParams,
+    enumerate_schedules,
+    optimal_strategy,
+)
+from auditopt.cli import _parse_schedule, main
 
 
 def read_csv(path):
@@ -570,6 +576,12 @@ def test_a_switch_time_given_twice_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: schedule: a switch time is given twice\n"
     assert not out.exists()
+
+
+def test_a_cli_schedule_has_the_levels_of_enumerate_schedules():
+    sol = StrategySolution(utility=1.0, maximizers=(0.5, 1.0, 2.0), tie_tol=1e-6)
+    inc = enumerate_schedules(sol, horizon=1, switch_times=[1, 3])[-1]
+    assert _parse_schedule("0:0.5,1:1.0,3:2.0").levels == inc.levels == (0.5, 1.0, 1.0, 2.0)
 
 
 def test_simulate_rejects_a_negative_seed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +222,10 @@ def test_enumerate_schedules_visits_every_level():
     sol = core.StrategySolution(utility=1.0, maximizers=(0.5, 1.0, 2.0), tie_tol=1e-6)
     inc = enumerate_schedules(sol, horizon=4, switch_times=[1, 3])[-1]
     assert inc.levels == (0.5, 1.0, 1.0, 2.0)
+    # a switch time at or past the horizon extends the schedule to reach its level
+    inc = enumerate_schedules(sol, horizon=3, switch_times=[1, 5])[-1]
+    assert inc.levels == (0.5, 1.0, 1.0, 1.0, 1.0, 2.0)
+    assert enumerate_schedules(sol, horizon=2)[-1].levels == (0.5, 1.0, 2.0)
     # a repeated time or a switch at t = 0 would skip a level
     for bad in ([2, 2], [0, 1], [3, 1], [1]):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -231,6 +236,14 @@ def test_enumerate_schedules_rejects_empty_horizon():
     sol = optimal_strategy(ConstantTest(1.0), P4)
     with pytest.raises(ValueError):
         enumerate_schedules(sol, horizon=0)
+
+
+def test_enumerate_schedules_refuses_a_horizon_beyond_the_grid_cap():
+    sol = core.StrategySolution(utility=1.0, maximizers=(0.5, 1.0), tie_tol=1e-6)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="steps are more than"):
+        enumerate_schedules(sol, horizon=MAX_GRID_POINTS + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_value_iteration_certain_pass():

@@ -152,16 +152,6 @@ def test_simulate_certain_fail_truncates_every_episode():
     assert res.std_error == 0.0
 
 
-def test_simulate_horizon_beyond_revenue_plays_no_step():
-    eps = 1.01 * P4.R / (1.0 - P4.alpha)
-    res = simulate(
-        Schedule(levels=(1.0,)), static(ConstantTest(1.0)), P4, 100, seed=0, horizon_eps=eps
-    )
-    assert res.mean_utility == 0.0
-    assert res.truncated_fraction == 1.0
-    assert res.pass_time_histogram == {}
-
-
 @pytest.mark.parametrize("episodes", [1, 8193, 10**12])
 def test_simulate_counts_every_episode(episodes):
     sched = Schedule(levels=(1.0, 1.5))
@@ -270,9 +260,3 @@ def test_simulate_rejects_a_bad_episode_count(episodes):
     with pytest.raises(ValueError, match=r"episodes must be an integer in \[1, 2\*\*63\)"):
         simulate(Schedule(levels=(1.0,)), static(ConstantTest(0.5)), P4, episodes, seed=0)
 
-
-@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
-def test_simulate_rejects_a_bad_horizon(eps):
-    with pytest.raises(ValueError, match="horizon_eps must be a positive number"):
-        simulate(Schedule(levels=(1.0,)), static(ConstantTest(0.0)), P4, 10, seed=0,
-                 horizon_eps=eps)
