@@ -16,9 +16,9 @@ def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) ->
     """Exact expected discounted utility of following the schedule.
 
     Sums survival-weighted terms alpha^t * (pass_prob*R - incremental cost)
-    until the tail bound S_t * alpha^t * R/(1-alpha) drops below 1e-12.
-    The cost paid at step t and the reward for passing the test revealed at
-    t+1 share the same discount alpha^t.
+    until the tail bound S_t * alpha^t * R/(1-alpha) drops below 1e-12 * R,
+    a stop in units of R. The cost paid at step t and the reward for passing
+    the test revealed at t+1 share the same discount alpha^t.
     """
     c, R, a = params.c, params.R, params.alpha
     total = 0.0
@@ -26,7 +26,7 @@ def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) ->
     x_prev = 0.0
     disc = 1.0
     t = 0
-    while survive * disc * R / (1.0 - a) >= 1e-12:
+    while survive * disc / (1.0 - a) >= 1e-12:
         x_t = schedule.level_at(t)
         p = float(audit.test_at(t)(x_t))
         total += survive * disc * (p * R - c * (x_t - x_prev))

@@ -260,3 +260,33 @@ def test_simulate_rejects_a_bad_episode_count(episodes):
     with pytest.raises(ValueError, match=r"episodes must be an integer in \[1, 2\*\*63\)"):
         simulate(Schedule(levels=(1.0,)), static(ConstantTest(0.5)), P4, episodes, seed=0)
 
+
+
+def _schedule_cases(seed, n):
+    """Seeded schedules, parameters and audits with prefixes, all three test kinds."""
+    rng = np.random.default_rng(seed)
+    kinds = (
+        lambda: ThresholdTest(rng.uniform(0.0, 3.0), rng.uniform(0.3, 1.5)),
+        lambda: LinearTest(rng.uniform(0.0, 3.0)),
+        lambda: ConstantTest(rng.uniform(0.0, 1.0)),
+    )
+    for i in range(n):
+        prefix = tuple(kinds[rng.integers(3)]() for _ in range(rng.integers(0, 3)))
+        levels = tuple(float(x) for x in np.sort(rng.uniform(0.0, 4.0, rng.integers(1, 4))))
+        params = VendorParams(rng.uniform(1.0, 10.0), rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.95))
+        yield Schedule(levels=levels), Audit(prefix=prefix, tail=kinds[i % 3]()), params
+
+
+@pytest.mark.parametrize("j", [-3, 5])
+def test_schedule_values_scale_exactly_with_the_money_unit(j):
+    s = 2.0**j
+    for schedule, audit, params in _schedule_cases(13, 30):
+        scaled = VendorParams(s * params.R, s * params.c, params.alpha)
+        value = evaluate_schedule(schedule, audit, params)
+        assert evaluate_schedule(schedule, audit, scaled) == s * value
+        res = simulate(schedule, audit, params, 1000, seed=5)
+        res_scaled = simulate(schedule, audit, scaled, 1000, seed=5)
+        assert res_scaled.mean_utility == s * res.mean_utility
+        assert res_scaled.std_error == s * res.std_error
+        assert res_scaled.pass_time_histogram == res.pass_time_histogram
+        assert res_scaled.truncated_fraction == res.truncated_fraction
