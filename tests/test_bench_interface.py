@@ -17,9 +17,9 @@ def load(name):
 
 
 def one_op_per_kind():
-    ops = {}
+    workloads, ops = load("workloads"), {}
     for workload in ("vendor", "participation", "monte-carlo"):
-        for op in load("workloads").make_ops(workload, 1, ""):
+        for op in workloads.make_ops(workload, 1, ""):
             ops.setdefault(op["kind"], op)
     return list(ops.values())
 

@@ -261,7 +261,6 @@ def test_simulate_rejects_a_bad_episode_count(episodes):
         simulate(Schedule(levels=(1.0,)), static(ConstantTest(0.5)), P4, episodes, seed=0)
 
 
-
 def _schedule_cases(seed, n):
     """Seeded schedules, parameters and audits with prefixes, all three test kinds."""
     rng = np.random.default_rng(seed)
