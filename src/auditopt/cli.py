@@ -28,8 +28,7 @@ from .linear import (
 from .multistep import Audit, PreconditionError, approximation_study
 from .sim import evaluate_schedule, simulate
 from .threshold import coverage_grid
-from .types import (MAX_GRID_POINTS, GridSpec, Schedule, TestFunction, VendorParams,
-                    _switch_levels)
+from .types import MAX_GRID_POINTS, GridSpec, Schedule, TestFunction, VendorParams
 
 CONFIG_ERROR = 2
 REGIME_ERROR = 3
@@ -179,8 +178,7 @@ def _parse_range(spec: str, name: str) -> list:
 
 
 def _parse_schedule(spec: str) -> Schedule:
-    """Switch-time/level pairs 't0:x0,t1:x1,...'; t0 must be 0, and the
-    schedule, one level per step, may have at most MAX_GRID_POINTS steps."""
+    """Switch-time/level pairs 't0:x0,t1:x1,...'; t0 must be 0."""
     try:
         pairs = sorted(
             (int(p.split(":")[0]), float(p.split(":")[1])) for p in spec.split(",") if p
@@ -193,7 +191,7 @@ def _parse_schedule(spec: str) -> Schedule:
         raise ConfigError("schedule: must start with a t=0 level")
     times, levels = zip(*pairs)
     try:
-        return Schedule(levels=_switch_levels(levels, times[1:]))
+        return Schedule(levels=levels, switch_times=times[1:])
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}")
 

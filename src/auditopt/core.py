@@ -8,11 +8,11 @@ verifies the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .types import GridSpec, Schedule, TestFunction, VendorParams, _switch_levels, default_grid
+from .types import GridSpec, Schedule, TestFunction, VendorParams, default_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = np.array([0, -1, 1])  # grid offsets of a peak, its left and its right neighbour
@@ -197,31 +197,20 @@ def optimal_strategy(
     return StrategySolution(utility=utility, maximizers=tuple(maximizers), tie_tol=tie_tol, flat=flat)
 
 
-def enumerate_schedules(
-    solution: StrategySolution, horizon: int, switch_times=None
-) -> list[Schedule]:
+def enumerate_schedules(solution: StrategySolution, switch_times=None) -> list[Schedule]:
     """Concrete optimal investment schedules drawn from the maximizer set.
 
-    One one-and-done schedule of `horizon` steps per maximizer. With two or
-    more maximizers, one incremental schedule steps through the ascending
-    maximizer levels at the given strictly increasing switch times >= 1
-    (default: t = 1, 2, ...); it runs past `horizon` to its last switch time,
-    so every level is reached. A schedule has at most MAX_GRID_POINTS steps.
+    One one-and-done schedule per maximizer. With two or more maximizers,
+    one incremental schedule steps through the ascending maximizer levels at
+    the given switch times (default: t = 1, 2, ...), checked by Schedule.
     """
     if not solution.maximizers:
         raise ValueError("solution has no maximizers")
 
-    schedules = [
-        Schedule(levels=_switch_levels((m,), (), horizon), kind="one_and_done")
-        for m in solution.maximizers
-    ]
+    schedules = [Schedule(levels=(m,)) for m in solution.maximizers]
     levels = sorted(solution.maximizers)
     if len(levels) >= 2:
-        if switch_times is None:
-            switch_times = range(1, len(levels))
-        schedules.append(
-            Schedule(levels=_switch_levels(levels, switch_times, horizon), kind="incremental")
-        )
+        schedules.append(Schedule(levels=tuple(levels), switch_times=switch_times))
     return schedules
 
 
@@ -231,13 +220,13 @@ class ValueFunction:
 
     value_iteration_oracle gives the fixed point of the vendor's Bellman
     equation; backward_induction gives the best net value max_{y >= x} U_0(y)
-    of a finite-step audit, with its step-0 maximizer.
+    of a finite-step audit, with its step-0 maximizer. Only step 0 is kept:
+    step n of an audit is step 0 of Audit(prefix[n:], tail).
     """
 
     xs: np.ndarray
     values: np.ndarray
     maximizer: float | None = None
-    step_values: tuple = field(default=(), repr=False)  # running-max per step, 0..prefix len
 
     def at_zero(self) -> float:
         return float(self.values[0])

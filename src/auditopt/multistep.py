@@ -34,32 +34,36 @@ class Audit:
         )
 
 
-def backward_induction(
-    audit: Audit, params: VendorParams, grid: GridSpec
-) -> ValueFunction:
-    """Value the audit by backing up from the repeated tail through the prefix.
+def _backups(audit: Audit, params: VendorParams, xs: np.ndarray):
+    """Yield (U_n, U*_n) on xs for each step n, from the tail back to step 0.
 
     The tail is the static problem (running max of the closed-form net
     utility); each prefix step applies
     U_n(x) = -(1-a+a*p_n(x))*c*x + p_n(x)*R + a*(1-p_n(x))*U*_{n+1}(x).
     """
-    xs = grid.points()
     c, R, a = params.c, params.R, params.alpha
-
-    u0 = np.asarray(g_value(audit.tail, params, xs))  # raw step-0 utility when static
-    u_star = _running_max(u0)
-    steps = [u_star]
+    u = np.asarray(g_value(audit.tail, params, xs))  # raw step-0 utility when static
+    u_star = _running_max(u)
+    yield u, u_star
     for test in reversed(audit.prefix):
         p = np.asarray(test(xs))
-        u0 = -(1.0 - a + a * p) * c * xs + p * R + a * (1.0 - p) * u_star
-        u_star = _running_max(u0)
-        steps.append(u_star)
-    steps.reverse()
+        u = -(1.0 - a + a * p) * c * xs + p * R + a * (1.0 - p) * u_star
+        u_star = _running_max(u)
+        yield u, u_star
+
+
+def backward_induction(
+    audit: Audit, params: VendorParams, grid: GridSpec
+) -> ValueFunction:
+    """Step 0 of the audit, backed up from the tail; memory does not grow with the prefix."""
+    xs = grid.points()
+    for u0, u_star in _backups(audit, params, xs):
+        pass
 
     # break exact ties toward the largest effort (the designers' convention)
     top = float(np.max(u0))
-    i = int(np.nonzero(u0 >= top - 1e-12 * max(1.0, R))[0][-1])
-    return ValueFunction(xs=xs, values=steps[0], maximizer=float(xs[i]), step_values=tuple(steps))
+    i = int(np.nonzero(u0 >= top - 1e-12 * max(1.0, params.R))[0][-1])
+    return ValueFunction(xs=xs, values=u_star, maximizer=float(xs[i]))
 
 
 @dataclass(frozen=True)

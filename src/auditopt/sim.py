@@ -8,7 +8,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .multistep import Audit, backward_induction
+from .multistep import Audit, _backups
 from .types import GridSpec, Schedule, VendorParams
 
 
@@ -124,22 +124,23 @@ def simulate(
 
 
 def never_quit_audit_trail(audit: Audit, params: VendorParams, schedule: Schedule) -> tuple:
-    """Continuation value c*x + U*_t(x) entering each scheduled step.
+    """Continuation value c*x + U*_t(x) entering each step t, x the effort held.
 
     Every entry is the analytic reward-to-go of continuing rather than
     quitting; non-negativity shows quitting is never strictly optimal. The
-    values come from backward induction on the 1e-3 grid over
-    [0, max(R/c, levels) + 1].
+    steps run from t = 0 to max(prefix length, last switch time) + 1, past
+    which both the schedule and the audit are stationary. The values come
+    from backward induction on the 1e-3 grid over [0, max(R/c, levels) + 1].
     """
     x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
-    nvf = backward_induction(audit, params, GridSpec(x_max=x_cap, step=1e-3))
-    steps = nvf.step_values
+    xs = GridSpec(x_max=x_cap, step=1e-3).points()
+    K = len(audit.prefix)
+    last = max((K, *schedule.switch_times)) + 1
+    x_in = [0.0] + [schedule.level_at(t) for t in range(last)]  # effort entering step t
 
-    values = []
-    x_prev = 0.0
-    for t in range(len(schedule.levels) + 1):
-        u_star = steps[min(t, len(steps) - 1)]
-        cont = params.c * x_prev + float(np.interp(x_prev, nvf.xs, u_star))
-        values.append(cont)
-        x_prev = schedule.level_at(t)
-    return tuple(values)
+    trail = [0.0] * (last + 1)
+    for n, (_, u_star) in zip(range(K, -1, -1), _backups(audit, params, xs)):
+        # the tail's U* serves every step from the end of the prefix on
+        for t in range(n, last + 1 if n == K else n + 1):
+            trail[t] = params.c * x_in[t] + float(np.interp(x_in[t], xs, u_star))
+    return tuple(trail)

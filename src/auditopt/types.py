@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -161,30 +163,16 @@ def default_grid(params: VendorParams) -> GridSpec:
     return GridSpec(x_max=params.rosi + 1.0, step=1e-3)
 
 
-def _switch_levels(levels, switch_times, horizon: int = 1) -> tuple:
-    """Per-step levels: levels[0] holds from t = 0, levels[i] from switch_times[i-1] on.
-
-    The result has max(horizon, last switch time + 1) steps, so every level
-    is reached, and at most MAX_GRID_POINTS.
-    """
-    times = [0, *switch_times]
-    if len(times) != len(levels) or any(t_next - t < 1 for t, t_next in zip(times, times[1:])):
-        raise ValueError("need one strictly increasing switch time >= 1 per level transition")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    steps = max(horizon, times[-1] + 1)
-    if steps > MAX_GRID_POINTS:
-        raise ValueError(f"{steps} steps are more than {MAX_GRID_POINTS}")
-    return tuple(lv for lv, t, t_next in zip(levels, times, [*times[1:], steps])
-                 for _ in range(t_next - t))
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Non-decreasing sequence of cumulative effort levels; last level repeats forever."""
+    """Non-decreasing effort levels: levels[0] from t = 0, levels[i] from switch_times[i-1].
+
+    switch_times are strictly increasing integers >= 1, one per change of
+    level (None: t = 1, 2, ...); the last level repeats forever.
+    """
 
     levels: tuple
-    kind: str = "one_and_done"
+    switch_times: tuple | None = None
 
     def __post_init__(self):
         if len(self.levels) == 0:
@@ -197,6 +185,16 @@ class Schedule:
             if lv < prev - 1e-15:
                 raise ValueError("levels must be non-decreasing")
             prev = lv
+        times = self.switch_times
+        times = tuple(range(1, len(self.levels)) if times is None else times)
+        if len(times) != len(self.levels) - 1 or not all(
+                isinstance(t, Integral) and t > t_prev for t_prev, t in zip((0, *times), times)):
+            raise ValueError("need one strictly increasing switch time >= 1 per level transition")
+        object.__setattr__(self, "switch_times", times)
+
+    @property
+    def kind(self) -> str:
+        return "one_and_done" if len(self.levels) == 1 else "incremental"
 
     def level_at(self, t: int) -> float:
-        return self.levels[min(t, len(self.levels) - 1)]
+        return self.levels[bisect_right(self.switch_times, t)]

@@ -172,8 +172,8 @@ def test_criterion_04_easier_first_design():
         d = design_dynamic_easier_first(params)
         grid = GridSpec(x_max=max(d.b, d.b_prime) + 2.0, step=1e-3)
         audit = Audit(prefix=(LinearTest(d.b_prime),), tail=LinearTest(d.b))
-        nvf = backward_induction(audit, params, grid)
-        tail_interp = lambda x: np.interp(x, nvf.xs, nvf.step_values[1])
+        tail = backward_induction(Audit(prefix=(), tail=audit.tail), params, grid)
+        tail_interp = lambda x: np.interp(x, tail.xs, tail.values)
 
         def step0(x):
             p = LinearTest(d.b_prime)(np.asarray(x, dtype=float))
@@ -439,7 +439,7 @@ def test_criterion_11_schedule_timing_invariance():
     assert len(sol.maximizers) == 2
     values = []
     for switch in (1, 3):
-        for s in enumerate_schedules(sol, horizon=10, switch_times=[switch]):
+        for s in enumerate_schedules(sol, switch_times=[switch]):
             values.append(evaluate_schedule(s, audit, params))
     worst = max(worst, max(values) - min(values))
 
@@ -464,7 +464,7 @@ def test_criterion_11_schedule_timing_invariance():
     audit = Audit(prefix=(), tail=t)
     values = []
     for switch in (1, 4):
-        for s in enumerate_schedules(sol, horizon=60, switch_times=[switch]):
+        for s in enumerate_schedules(sol, switch_times=[switch]):
             values.append(evaluate_schedule(s, audit, params))
     worst = max(worst, max(values) - min(values))
     report(

@@ -198,9 +198,10 @@ def test_optimal_strategy_matches_value_iteration():
 
 def test_enumerate_schedules_singleton():
     sol = optimal_strategy(ConstantTest(1.0), P4)
-    scheds = enumerate_schedules(sol, horizon=4)
+    scheds = enumerate_schedules(sol)
     assert len(scheds) == 1
-    assert scheds[0].levels == (0.0, 0.0, 0.0, 0.0)
+    assert (scheds[0].levels, scheds[0].switch_times) == ((0.0,), ())
+    assert [scheds[0].level_at(t) for t in range(4)] == [0.0] * 4
     assert scheds[0].kind == "one_and_done"
 
 
@@ -208,42 +209,37 @@ def test_enumerate_schedules_two_maximizers():
     sol = optimal_strategy(LinearTest(3.0), P4)
     assert len(sol.maximizers) == 2
     x_lo, x_hi = sorted(sol.maximizers)
-    scheds = enumerate_schedules(sol, horizon=5, switch_times=[2])
+    scheds = enumerate_schedules(sol, switch_times=[2])
     kinds = [s.kind for s in scheds]
     assert kinds.count("one_and_done") == 2
     assert kinds.count("incremental") == 1
     inc = next(s for s in scheds if s.kind == "incremental")
-    assert inc.levels == (x_lo, x_lo, x_hi, x_hi, x_hi)
+    assert [inc.level_at(t) for t in range(5)] == [x_lo, x_lo, x_hi, x_hi, x_hi]
     one_levels = {s.levels[0] for s in scheds if s.kind == "one_and_done"}
     assert one_levels == {x_lo, x_hi}
 
 
 def test_enumerate_schedules_visits_every_level():
     sol = core.StrategySolution(utility=1.0, maximizers=(0.5, 1.0, 2.0), tie_tol=1e-6)
-    inc = enumerate_schedules(sol, horizon=4, switch_times=[1, 3])[-1]
-    assert inc.levels == (0.5, 1.0, 1.0, 2.0)
-    # a switch time at or past the horizon extends the schedule to reach its level
-    inc = enumerate_schedules(sol, horizon=3, switch_times=[1, 5])[-1]
-    assert inc.levels == (0.5, 1.0, 1.0, 1.0, 1.0, 2.0)
-    assert enumerate_schedules(sol, horizon=2)[-1].levels == (0.5, 1.0, 2.0)
-    # a repeated time or a switch at t = 0 would skip a level
-    for bad in ([2, 2], [0, 1], [3, 1], [1]):
+    inc = enumerate_schedules(sol, switch_times=[1, 3])[-1]
+    assert [inc.level_at(t) for t in range(6)] == [0.5, 1.0, 1.0, 2.0, 2.0, 2.0]
+    inc = enumerate_schedules(sol, switch_times=[1, 5])[-1]
+    assert [inc.level_at(t) for t in range(7)] == [0.5, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+    inc = enumerate_schedules(sol)[-1]
+    assert (inc.levels, inc.switch_times) == ((0.5, 1.0, 2.0), (1, 2))
+    # a repeated time or a switch at t = 0 would skip a level, and a step is an integer
+    for bad in ([2, 2], [0, 1], [3, 1], [1], [1.5, 3]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            enumerate_schedules(sol, horizon=4, switch_times=bad)
+            enumerate_schedules(sol, switch_times=bad)
 
 
-def test_enumerate_schedules_rejects_empty_horizon():
-    sol = optimal_strategy(ConstantTest(1.0), P4)
-    with pytest.raises(ValueError):
-        enumerate_schedules(sol, horizon=0)
-
-
-def test_enumerate_schedules_refuses_a_horizon_beyond_the_grid_cap():
+def test_enumerate_schedules_accepts_a_switch_a_trillion_steps_out():
     sol = core.StrategySolution(utility=1.0, maximizers=(0.5, 1.0), tie_tol=1e-6)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="steps are more than"):
-        enumerate_schedules(sol, horizon=MAX_GRID_POINTS + 1)
+    inc = enumerate_schedules(sol, switch_times=[10**12])[-1]
     assert time.perf_counter() - start < 1.0
+    assert inc.level_at(0) == inc.level_at(10**12 - 1) == 0.5
+    assert inc.level_at(10**12) == inc.level_at(10**15) == 1.0
 
 
 def test_value_iteration_certain_pass():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,9 +66,24 @@ def test_backward_induction_matches_linear_tail_closed_form():
 def test_net_values_non_increasing():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        nvf = backward_induction(random_audit(rng, 3), P4, GRID)
-        for step in nvf.step_values:
-            assert np.all(np.diff(step) <= 1e-12)
+        audit = random_audit(rng, 3)
+        for n in range(len(audit.prefix) + 1):
+            suffix = Audit(audit.prefix[n:], audit.tail)
+            assert np.all(np.diff(backward_induction(suffix, P4, GRID).values) <= 1e-12)
+
+
+def test_backward_induction_memory_does_not_grow_with_the_prefix():
+    # 2,000 steps of 5,001 points would hold 80 MB if every step were kept
+    audit = Audit(prefix=tuple(LinearTest(0.002 * k) for k in range(2000)), tail=LinearTest(1.0))
+    grid = GridSpec(x_max=5.0, step=1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward_induction(audit, P4, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_perturb_identical_test_is_free():

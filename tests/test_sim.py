@@ -8,10 +8,13 @@ import pytest
 from auditopt import (
     Audit,
     ConstantTest,
+    GridSpec,
     LinearTest,
     Schedule,
     ThresholdTest,
     VendorParams,
+    backward_induction,
+    default_grid,
     enumerate_schedules,
     evaluate_schedule,
     g_value,
@@ -59,7 +62,7 @@ def test_schedule_timing_invariance_on_tied_maximizers():
     audit = static(LinearTest(3.0))
     values = []
     for switch in (1, 2, 5):
-        scheds = enumerate_schedules(sol, horizon=8, switch_times=[switch])
+        scheds = enumerate_schedules(sol, switch_times=[switch])
         inc = next(s for s in scheds if s.kind == "incremental")
         values.append(evaluate_schedule(inc, audit, P4))
         for s in scheds:
@@ -112,7 +115,7 @@ def test_simulate_result_json():
 def test_never_quit_trail_along_optimal_schedule():
     test = ThresholdTest(1.0, 1.0)
     sol = optimal_strategy(test, P4)
-    sched = enumerate_schedules(sol, horizon=5)[0]
+    sched = enumerate_schedules(sol)[0]
     trail = never_quit_audit_trail(static(test), P4, sched)
     assert all(v >= -1e-9 for v in trail)
 
@@ -134,6 +137,20 @@ def test_never_quit_trail_two_step_design_point():
     audit = Audit(prefix=(LinearTest(d.b_prime),), tail=LinearTest(d.b))
     trail = never_quit_audit_trail(audit, p15, Schedule(levels=(d.x,)))
     assert all(v >= -1e-9 for v in trail)
+
+
+def test_never_quit_trail_covers_the_prefix():
+    prefix = (LinearTest(0.5), ThresholdTest(1.0, 0.5), LinearTest(2.0))
+    audit = Audit(prefix=prefix, tail=LinearTest(1.0))
+    sched = Schedule(levels=(1.5,))
+    trail = never_quit_audit_trail(audit, P4, sched)
+    assert len(trail) == 5
+    assert all(v >= -1e-9 for v in trail)
+    grid = GridSpec(x_max=P4.rosi + 1.0, step=1e-3)
+    for t, v in enumerate(trail):
+        x_prev = 0.0 if t == 0 else sched.level_at(t - 1)
+        u_star = backward_induction(Audit(prefix[t:], audit.tail), P4, grid).values
+        assert v == P4.c * x_prev + float(np.interp(x_prev, grid.points(), u_star))
 
 
 def test_simulate_certain_fail_truncates_every_episode():
@@ -289,3 +306,9 @@ def test_schedule_values_scale_exactly_with_the_money_unit(j):
         assert res_scaled.std_error == s * res.std_error
         assert res_scaled.pass_time_histogram == res.pass_time_histogram
         assert res_scaled.truncated_fraction == res.truncated_fraction
+        vf = backward_induction(audit, params, default_grid(params))
+        vf_scaled = backward_induction(audit, scaled, default_grid(scaled))
+        assert np.array_equal(vf_scaled.values, s * vf.values)
+        assert vf_scaled.maximizer == vf.maximizer
+        trail = np.array(never_quit_audit_trail(audit, params, schedule))
+        assert np.array_equal(never_quit_audit_trail(audit, scaled, schedule), s * trail)
