@@ -17,10 +17,12 @@ def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) ->
 
     Sums survival-weighted terms alpha^t * (pass_prob*R - incremental cost)
     until the tail bound S_t * alpha^t * R/(1-alpha) drops below 1e-12 * R,
-    a stop in units of R. The cost paid at step t and the reward for passing
-    the test revealed at t+1 share the same discount alpha^t.
+    a stop in units of R, or at a stationary pass probability of exactly 0,
+    after which no step passes or pays. The cost paid at step t and the
+    reward for passing the test revealed at t+1 share the same discount alpha^t.
     """
     c, R, a = params.c, params.R, params.alpha
+    stationary = max((len(audit.prefix), *schedule.switch_times))
     total = 0.0
     survive = 1.0  # probability no test has been passed before step t
     x_prev = 0.0
@@ -30,6 +32,8 @@ def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) ->
         x_t = schedule.level_at(t)
         p = float(audit.test_at(t)(x_t))
         total += survive * disc * (p * R - c * (x_t - x_prev))
+        if p == 0.0 and t >= stationary:
+            break
         survive *= 1.0 - p
         x_prev = x_t
         disc *= a
@@ -68,12 +72,12 @@ def simulate(
     gives bit-identical results. The schedule is open-loop, so the episodes
     still running at step t are interchangeable: the number that pass is one
     Binomial(alive, p_t) draw. The cost of step t is charged before that
-    step's test. Episodes are truncated once the remaining discounted
-    revenue alpha^t * R/(1-alpha) falls below 1e-9 * R, having paid the
-    costs of every step they played. Episodes that pass at the same step
-    earn the same utility, as do the truncated ones, so the mean and
-    variance follow from those counts: time and memory grow with the steps
-    played, not with the episodes.
+    step's test. Episodes are truncated once the remaining discounted revenue
+    alpha^t * R/(1-alpha) falls below 1e-9 * R, or at a stationary pass
+    probability of exactly 0, having paid the costs of every step they played.
+    Episodes that pass at the same step earn the same utility, as do the
+    truncated ones, so the mean and variance follow from those counts: time
+    and memory grow with the steps played, not with the episodes.
     """
     if not isinstance(episodes, Integral) or not 1 <= episodes < 2**63:
         raise ValueError("episodes must be an integer in [1, 2**63)")
@@ -82,6 +86,7 @@ def simulate(
 
     c, R, a = params.c, params.R, params.alpha
     horizon_eps = 1e-9 * R
+    stationary = max((len(audit.prefix), *schedule.switch_times))
     rng = np.random.default_rng(seed)
     histogram: dict[int, int] = {}
     counts: list[int] = []  # episodes per distinct utility
@@ -94,12 +99,15 @@ def simulate(
     while alive and disc * R / (1.0 - a) >= horizon_eps:
         x_t = schedule.level_at(t)
         paid -= disc * c * (x_t - x_prev)
-        n_passed = int(rng.binomial(alive, float(audit.test_at(t)(x_t))))
+        p = float(audit.test_at(t)(x_t))
+        n_passed = int(rng.binomial(alive, p))
         if n_passed:
             histogram[t + 1] = n_passed
             counts.append(n_passed)
             values.append(paid + disc * R)
             alive -= n_passed
+        if p == 0.0 and t >= stationary:
+            break
         x_prev = x_t
         disc *= a
         t += 1
@@ -136,11 +144,12 @@ def never_quit_audit_trail(audit: Audit, params: VendorParams, schedule: Schedul
     xs = GridSpec(x_max=x_cap, step=1e-3).points()
     K = len(audit.prefix)
     last = max((K, *schedule.switch_times)) + 1
-    x_in = [0.0] + [schedule.level_at(t) for t in range(last)]  # effort entering step t
+    held = np.searchsorted(schedule.switch_times, np.arange(last), "right")  # level of step t
+    x_in = np.append(0.0, np.take(schedule.levels, held))  # effort entering step t
 
-    trail = [0.0] * (last + 1)
+    trail = np.empty(last + 1)
     for n, (_, u_star) in zip(range(K, -1, -1), _backups(audit, params, xs)):
         # the tail's U* serves every step from the end of the prefix on
-        for t in range(n, last + 1 if n == K else n + 1):
-            trail[t] = params.c * x_in[t] + float(np.interp(x_in[t], xs, u_star))
-    return tuple(trail)
+        steps = slice(n, last + 1 if n == K else n + 1)
+        trail[steps] = params.c * x_in[steps] + np.interp(x_in[steps], xs, u_star)
+    return tuple(trail.tolist())

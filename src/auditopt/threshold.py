@@ -130,23 +130,34 @@ def _opt_in_utilities(tests: list, params: VendorParams) -> list:
     Each value equals optimal_strategy(test, params).utility bit for bit. G
     is evaluated on the default grid for blocks of tests at once, one row
     per test and at most _BLOCK_POINTS grid points per block (at least one
-    row); a block keeps only its peak brackets. Every peak of every test is
-    then refined by nested grids in one lockstep refine_peaks call.
+    row); a block keeps only its peak brackets, and stops two grid steps past
+    its largest cut delta + z*sigma, so the block size bounds memory only up
+    to the cut. There p >= 1/2 and phi(z) <= phi(z*), so G' <= -c + R(1-alpha)
+    phi(z)/(sigma(1-alpha/2)^2) <= -1e-6*c: a peak cut off, or the window's
+    last point, refines to no more than a kept peak. Every peak of every test
+    is then refined by nested grids in one lockstep refine_peaks call.
     """
     deltas = np.array([t.delta for t in tests], dtype=float)
     sigmas = np.array([t.sigma for t in tests], dtype=float)
-    xs = default_grid(params).points()
+    grid = default_grid(params)
+    xs = grid.points()
     rows = max(1, _BLOCK_POINTS // len(xs))
+    a = params.alpha
+    with np.errstate(divide="ignore", over="ignore"):  # z* = inf for a vanishing sigma
+        phi_cut = math.sqrt(2.0 * math.pi) * params.c * (1.0 - a / 2) ** 2 * (1.0 - 1e-6) * sigmas
+        z_cut = np.sqrt(np.maximum(0.0, -2.0 * np.log(phi_cut / (params.R * (1.0 - a)))))
+        cuts = np.minimum(np.ceil((deltas + z_cut * sigmas) / grid.step) + 2, len(xs) - 1)
     blocks = []
     for first in range(0, len(deltas), rows):
         d, s = deltas[first:first + rows, None], sigmas[first:first + rows, None]
-        row, bx, bu = grid_peaks(xs, g_value(lambda x: _threshold_pass(x, d, s), params, xs))
+        window = xs[:int(max(cuts[first:first + rows].max(), 1.0)) + 1]
+        row, bx, bu = grid_peaks(window, g_value(lambda x: _threshold_pass(x, d, s), params, window))
         blocks.append((row + first, bx, bu))
     cell, bx, bu = (np.concatenate(parts) for parts in zip(*blocks))
     d, s = deltas[cell, None], sigmas[cell, None]  # one row of samples per peak
     f = lambda x: g_value(lambda y: _threshold_pass(y, d, s), params, x)
     _, values = refine_peaks(f, bx, bu)
-    # cell ascends, and every cell has a peak (both grid ends are peaks)
+    # cell ascends, and every cell has a peak (both window ends are peaks)
     best = np.maximum.reduceat(values, np.searchsorted(cell, np.arange(len(deltas))))
     return np.maximum(best, 0.0).tolist()
 
@@ -228,13 +239,13 @@ def coverage_grid(
 ) -> list[CoverageCell]:
     """gamma_bar over the cartesian product of delta and sigma values, row-major.
 
-    Every cell equals gamma_bar on its ThresholdTest bit for bit, including
-    the 5e-324 reported for a root below the smallest float. The opt-in
-    utilities of all cells come from one grid pass, in blocks of at most
-    2^15 grid points (at least one cell), and one lockstep nested-grid
-    refinement of every cell's peaks. Then each cell's gamma_bar is one
-    scalar root of a few evaluations, with no opt-out solve. Memory grows
-    with the number of cells only by a few floats per cell.
+    Every cell equals gamma_bar on its ThresholdTest bit for bit, including the
+    5e-324 reported for a root below the smallest float. The opt-in utilities
+    of all cells come from one grid pass, in blocks of at most 2^15 grid points
+    (at least one cell) cut past delta + z*sigma, right of which G' <= -1e-6*c
+    (_opt_in_utilities), and one lockstep nested-grid refinement of every
+    cell's peaks. Each gamma_bar is then one scalar root, no opt-out solve.
+    Memory grows by a few floats per cell, and per block only up to the cut.
     """
     deltas = list(delta_range)
     sigmas = list(sigma_range)

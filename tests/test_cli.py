@@ -573,6 +573,19 @@ def test_simulate_plays_a_far_switch_time_in_steps_played(tmp_path):
     assert docs[0]["analytic"] == docs[1]["analytic"]
 
 
+def test_simulate_stops_at_a_stationary_zero_pass_probability(tmp_path):
+    # at alpha = 1 - 1e-6 the horizons are tens of millions of steps, none of which can pass
+    out = tmp_path / "s.json"
+    start = time.perf_counter()
+    rc = main(["simulate", "--R", "4", "--c", "1", "--alpha", "0.999999", "--test", "constant",
+               "--p", "0", "--schedule", "0:1", "--out", str(out)])
+    assert rc == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(out.read_text())
+    assert doc["analytic"] == doc["result"]["mean"] == -1.0
+    assert doc["result"]["truncated_fraction"] == 1.0
+
+
 def test_a_switch_time_given_twice_exits_2(tmp_path, capsys):
     out = tmp_path / "s.json"
     rc = main(SIM_BASE + ["--test", "constant", "--p", "0.5", "--schedule", "0:1,1:2,1:3",

@@ -139,18 +139,50 @@ def test_never_quit_trail_two_step_design_point():
     assert all(v >= -1e-9 for v in trail)
 
 
+def test_never_quit_trail_at_a_million_steps():
+    start = time.perf_counter()
+    trail = never_quit_audit_trail(static(LinearTest(1.0)), P4, Schedule((1.0, 2.0), (10**6,)))
+    assert time.perf_counter() - start < 1.0
+    assert len(trail) == 10**6 + 2
+    assert type(trail[0]) is float and type(trail[-1]) is float
+    # every step before the switch holds level 1 and meets the same tail
+    assert trail[1] == trail[10**6] and trail[10**6 + 1] != trail[1]
+    grid = GridSpec(x_max=P4.rosi + 1.0, step=1e-3)
+    u_star = backward_induction(static(LinearTest(1.0)), P4, grid).values
+    assert trail[1] == P4.c * 1.0 + float(np.interp(1.0, grid.points(), u_star))
+
+
+def test_a_stationary_zero_pass_probability_ends_the_steps():
+    params = VendorParams(R=4.0, c=1.0, alpha=0.999999)  # horizons of ~10^7 steps
+    start = time.perf_counter()
+    audit = static(ConstantTest(0.0))
+    assert evaluate_schedule(Schedule((1.0,)), audit, params) == -1.0
+    res = simulate(Schedule((1.0,)), audit, params, 1000, seed=1)
+    assert (res.mean_utility, res.std_error, res.truncated_fraction) == (-1.0, 0.0, 1.0)
+    assert res.pass_time_histogram == {}
+    # a zero before the audit and the schedule are stationary does not end the steps
+    late = Audit(prefix=(ConstantTest(0.0),), tail=ConstantTest(1.0))
+    assert evaluate_schedule(Schedule((1.0,)), late, params) == -1.0 + params.alpha * params.R
+    assert simulate(Schedule((1.0,)), late, params, 1000, seed=1).pass_time_histogram == {2: 1000}
+    switch, ramp = Schedule((0.0, 2.0), (3,)), static(LinearTest(1.0))
+    assert evaluate_schedule(switch, ramp, params) == pytest.approx(
+        params.alpha**3 * (params.R - 2.0 * params.c), rel=1e-15)
+    assert simulate(switch, ramp, params, 1000, seed=1).pass_time_histogram == {4: 1000}
+    assert time.perf_counter() - start < 1.0
+
+
 def test_never_quit_trail_covers_the_prefix():
     prefix = (LinearTest(0.5), ThresholdTest(1.0, 0.5), LinearTest(2.0))
     audit = Audit(prefix=prefix, tail=LinearTest(1.0))
-    sched = Schedule(levels=(1.5,))
-    trail = never_quit_audit_trail(audit, P4, sched)
-    assert len(trail) == 5
-    assert all(v >= -1e-9 for v in trail)
     grid = GridSpec(x_max=P4.rosi + 1.0, step=1e-3)
-    for t, v in enumerate(trail):
-        x_prev = 0.0 if t == 0 else sched.level_at(t - 1)
-        u_star = backward_induction(Audit(prefix[t:], audit.tail), P4, grid).values
-        assert v == P4.c * x_prev + float(np.interp(x_prev, grid.points(), u_star))
+    for sched, steps in ((Schedule(levels=(1.5,)), 5), (Schedule((0.5, 1.5, 2.5), (2, 6)), 8)):
+        trail = never_quit_audit_trail(audit, P4, sched)
+        assert len(trail) == steps
+        assert all(v >= -1e-9 for v in trail)
+        for t, v in enumerate(trail):  # one scalar step at a time, as a reference
+            x_prev = 0.0 if t == 0 else sched.level_at(t - 1)
+            u_star = backward_induction(Audit(prefix[t:], audit.tail), P4, grid).values
+            assert v == P4.c * x_prev + float(np.interp(x_prev, grid.points(), u_star))
 
 
 def test_simulate_certain_fail_truncates_every_episode():

@@ -401,7 +401,69 @@ def test_coverage_grid_memory_does_not_grow_with_cells():
         finally:
             tracemalloc.stop()
 
-    assert peak(np.linspace(0.0, 3.0, 10)) <= 1.5 * peak([1.0])
+    coverage_grid([3.0], [1.0], 1.0, 1.5, P4)  # imports scipy.special outside the traced peaks
+    # the reference is the row of the widest grid window, as the cut sizes
+    # each block's window by its cells' largest delta + z*sigma
+    assert peak(np.linspace(0.0, 3.0, 10)) <= 1.5 * peak([3.0])
+
+
+def _random_sweeps(seed, sets=20, side=10):
+    """Seeded (params, deltas, sigmas): alpha 0.05-0.95, R/c 0.3-20, sigma 1e-2 to 5.
+
+    Each set has a delta below 0 and one beyond R/c + 1.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(sets):
+        rosi = 10.0 ** rng.uniform(math.log10(0.3), math.log10(20.0))
+        c = 10.0 ** rng.uniform(-1.0, 1.0)
+        params = VendorParams(R=rosi * c, c=c, alpha=rng.uniform(0.05, 0.95))
+        deltas = rng.uniform(-3.0, rosi + 4.0, side)
+        deltas[:2] = -rng.uniform(0.0, 3.0), rosi + 1.0 + rng.uniform(0.0, 3.0)
+        sigmas = 10.0 ** rng.uniform(-2.0, math.log10(5.0), side)
+        yield params, deltas, sigmas
+
+
+def test_coverage_grid_cut_matches_cell_by_cell_solves_on_random_cells():
+    cells = 0
+    for params, deltas, sigmas in _random_sweeps(23):
+        assert_sweep_matches_cells(deltas, sigmas, 1.0, 1.5, params)
+        cells += len(deltas) * len(sigmas)
+    assert cells >= 2000
+
+
+def test_net_utility_falls_right_of_the_cut():
+    # the premise of the cut: for x >= delta + z*sigma, p >= 1/2 and
+    # G' <= -c + R(1-alpha)phi(z)/(sigma(1-alpha/2)^2) <= -1e-6*c
+    from auditopt import default_grid, g_value
+
+    for params, deltas, sigmas in _random_sweeps(23):
+        grid = default_grid(params)
+        xs = grid.points()
+        a = params.alpha
+        for d in deltas:
+            for s in sigmas:
+                bound = math.sqrt(2.0 * math.pi) * s * params.c * (1.0 - a / 2) ** 2 * (1.0 - 1e-6)
+                z = math.sqrt(max(0.0, -2.0 * math.log(bound / (params.R * (1.0 - a)))))
+                start = min(max(math.ceil((d + z * s) / grid.step), 0), len(xs) - 1)
+                g = g_value(ThresholdTest(float(d), float(s)), params, xs[start:])
+                assert np.all(np.diff(g) < 0.0)
+
+
+def test_coverage_grid_pass_stops_at_the_cut(monkeypatch):
+    import auditopt.threshold as threshold
+
+    points = []
+    g_value = threshold.g_value
+
+    def counting(test, params, x):
+        value = g_value(test, params, x)
+        if np.ndim(x) == 1:  # the grid pass; refine_peaks passes 2-D samples
+            points.append(np.size(value))
+        return value
+
+    monkeypatch.setattr(threshold, "g_value", counting)
+    coverage_grid(np.linspace(0.0, 3.0, 13), np.linspace(0.1, 3.0, 13), 1.0, 1.5, P4)
+    assert sum(points) <= 0.5 * 169 * 5001
 
 
 def test_gamma_bar_root_below_float_range_is_not_full_coverage():
