@@ -28,7 +28,6 @@ from .threshold import (
     coverage_grid,
     gamma_bar,
     liability_loss,
-    max_opt_out_utility,
     opt_out_utility,
 )
 from .linear import (

@@ -187,7 +187,7 @@ def optimal_strategy(
 
     # flat-region detection: long contiguous stretch of (numerically) exactly
     # optimal grid points; a smooth peak never produces one at this tolerance
-    near = g >= best - 1e-12 * max(1.0, params.R)
+    near = g >= best - 1e-12 * params.R
     five_in_a_row = near[:-4] & near[1:-3] & near[2:-2] & near[3:-1] & near[4:]
     flat = bool(np.count_nonzero(five_in_a_row))
     if flat:

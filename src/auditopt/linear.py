@@ -130,7 +130,7 @@ def two_step_value(b_prime, b, params: VendorParams, x):
     return float(val) if val.ndim == 0 else val
 
 
-def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float = 1e-9):
+def argmax_largest_tie(f, xs: np.ndarray, tie_tol: float):
     """Largest global maximizer of f over the grid, after nested-grid refinement.
 
     Every local maximum of f on the grid is refined between its neighbours,
@@ -148,13 +148,13 @@ def _best_response(f, x: float, x_hi: float, params: VendorParams) -> bool:
     """Whether the vendor facing utility f chooses the design's investment x.
 
     One 1e-3 grid pass over [0, x_hi], every peak refined; ties within
-    1e-9 * max(1, R) go to the largest effort. x passes when that largest
-    maximizer lies within 1e-6 of it and is worth at least -1e-9. GridSpec
+    1e-9 * R go to the largest effort. x passes when that largest maximizer
+    lies within 1e-6 of it and is worth at least -1e-9 * R. GridSpec
     refuses, with ValueError, a range wider than MAX_GRID_POINTS steps.
     """
     xs = GridSpec(x_max=x_hi, step=1e-3).points()
-    x_num, u_num = argmax_largest_tie(f, xs, tie_tol=1e-9 * max(1.0, params.R))
-    return abs(x_num - x) <= 1e-6 and u_num >= -1e-9
+    x_num, u_num = argmax_largest_tie(f, xs, tie_tol=1e-9 * params.R)
+    return abs(x_num - x) <= 1e-6 and u_num >= -1e-9 * params.R
 
 
 def design_dynamic_easier_first(params: VendorParams) -> LinearDesign:

@@ -62,7 +62,7 @@ def backward_induction(
 
     # break exact ties toward the largest effort (the designers' convention)
     top = float(np.max(u0))
-    i = int(np.nonzero(u0 >= top - 1e-12 * max(1.0, params.R))[0][-1])
+    i = int(np.nonzero(u0 >= top - 1e-12 * params.R)[0][-1])
     return ValueFunction(xs=xs, values=u_star, maximizer=float(xs[i]))
 
 
@@ -98,11 +98,12 @@ def perturb_one_test(
     perturbed = backward_induction(Audit(tuple(new_prefix), audit.tail), params, grid)
     delta = perturbed.max_value - base.max_value
 
-    if abs(delta) > bound + 1e-9:
+    slack = 1e-9 * params.R
+    if abs(delta) > bound + slack:
         raise RuntimeError(f"perturbation change {delta} exceeds bound {bound}")
-    if np.all(p_new >= p_old) and delta < -1e-9:
+    if np.all(p_new >= p_old) and delta < -slack:
         raise RuntimeError("value dropped although the new test dominates pointwise")
-    if np.all(p_new <= p_old) and delta > 1e-9:
+    if np.all(p_new <= p_old) and delta > slack:
         raise RuntimeError("value rose although the new test is dominated pointwise")
     return PerturbResult(delta_value=delta, bound=bound)
 
@@ -183,8 +184,9 @@ class BddReport:
 
 
 def bdd_check(audit: Audit, params: VendorParams, grid: GridSpec) -> BddReport:
-    """Check 0 <= c*x + U*_0(x) <= R on every grid point (1e-9 slack)."""
+    """Check 0 <= c*x + U*_0(x) <= R on every grid point, with 1e-9 * R slack."""
     nvf = backward_induction(audit, params, grid)
     net = params.c * nvf.xs + nvf.values
     lo, hi = float(np.min(net)), float(np.max(net))
-    return BddReport(ok=(lo >= -1e-9 and hi <= params.R + 1e-9), min_net=lo, max_net=hi)
+    return BddReport(ok=(lo >= -1e-9 * params.R and hi <= params.R * (1 + 1e-9)),
+                     min_net=lo, max_net=hi)

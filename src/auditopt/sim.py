@@ -137,8 +137,9 @@ def never_quit_audit_trail(audit: Audit, params: VendorParams, schedule: Schedul
     Every entry is the analytic reward-to-go of continuing rather than
     quitting; non-negativity shows quitting is never strictly optimal. The
     steps run from t = 0 to max(prefix length, last switch time) + 1, past
-    which both the schedule and the audit are stationary. The values come
-    from backward induction on the 1e-3 grid over [0, max(R/c, levels) + 1].
+    which both the schedule and the audit are stationary: one float per step,
+    so memory grows with the last switch time. The values come from backward
+    induction on the 1e-3 grid over [0, max(R/c, levels) + 1].
     """
     x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
     xs = GridSpec(x_max=x_cap, step=1e-3).points()

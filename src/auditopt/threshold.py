@@ -26,8 +26,8 @@ class LiabilityModel:
     """Risk aversion gamma with loss moments mu_Z(x) = mu0/x, sigma_Z(x) = s0/x."""
 
     gamma: float
-    mu0: float = 1.0
-    s0: float = 1.5
+    mu0: float
+    s0: float
 
     def __post_init__(self):
         _require_finite(gamma=self.gamma, mu0=self.mu0, s0=self.s0)
@@ -72,6 +72,9 @@ def max_opt_out_utility(model: LiabilityModel, params: VendorParams) -> tuple[fl
     condition. The condition depends on the model only through a and b, so
     it neither overflows nor underflows while a, b and b^2/a are normal
     floats; loss moments that take them outside that range raise ValueError.
+
+    No solver calls it, and auditopt does not export it: it stays here only
+    because bench/tracer.py wraps it by name, and goes once the bench drops it.
     """
     if model.gamma == 0.0:
         return params.R - 1.0, 0.0
@@ -163,7 +166,7 @@ def _opt_in_utilities(tests: list, params: VendorParams) -> list:
 
 
 def _indifference(u_in: float, mu0: float, s0: float, params: VendorParams) -> float:
-    """gamma_bar for the opt-in utility u_in; see gamma_bar.
+    """gamma_bar for the opt-in utility u_in; see coverage_grid.
 
     At gamma_bar the opt-out optimum x meets two conditions. Indifference
     fixes the loss L = R - c*x - u_in, and the loss exponent
@@ -207,26 +210,6 @@ def _indifference(u_in: float, mu0: float, s0: float, params: VendorParams) -> f
     return math.inf if gamma > _GAMMA_CAP else max(gamma, math.ulp(0.0))
 
 
-def gamma_bar(test: ThresholdTest, mu0: float, s0: float, params: VendorParams) -> float:
-    """Risk-aversion level at which opting in and opting out are indifferent.
-
-    Returns 0 when the audit already beats the best possible opt-out utility
-    (full coverage), +inf when the indifference level exceeds 1e6 (the
-    vendor practically never participates), and otherwise the root of
-    U_out*(gamma) = U_in*. It comes from one scalar root in the opt-out
-    effort, where the loss exponent gives gamma in closed form, solved to
-    float resolution; no opt-out solve runs inside it. gamma_bar scales as
-    1/mu0 at a fixed ratio s0/mu0. A root that is positive but below the
-    smallest float is reported as 5e-324, never as 0. U_in* =
-    optimal_strategy(test, params).utility comes from the one-cell case of
-    coverage_grid's lockstep grid pass. Loss moments that are not finite and
-    positive raise ValueError, at full coverage too.
-    """
-    LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before the full-coverage shortcut
-    u_in = _opt_in_utilities([test], params)[0]
-    return _indifference(u_in, mu0, s0, params)
-
-
 @dataclass(frozen=True)
 class CoverageCell:
     delta: float
@@ -239,13 +222,18 @@ def coverage_grid(
 ) -> list[CoverageCell]:
     """gamma_bar over the cartesian product of delta and sigma values, row-major.
 
-    Every cell equals gamma_bar on its ThresholdTest bit for bit, including the
-    5e-324 reported for a root below the smallest float. The opt-in utilities
-    of all cells come from one grid pass, in blocks of at most 2^15 grid points
-    (at least one cell) cut past delta + z*sigma, right of which G' <= -1e-6*c
-    (_opt_in_utilities), and one lockstep nested-grid refinement of every
-    cell's peaks. Each gamma_bar is then one scalar root, no opt-out solve.
-    Memory grows by a few floats per cell, and per block only up to the cut.
+    A cell's gamma_bar is the risk aversion at which opting in and opting out
+    are indifferent: 0 when the audit already beats the best opt-out utility
+    (full coverage), +inf above 1e6 (the vendor practically never
+    participates), else the root of U_out*(gamma) = U_in* to float
+    resolution; a positive root below the smallest float reads 5e-324. Every
+    U_in* = optimal_strategy(test, params).utility comes from one grid pass,
+    in blocks of at most 2^15 grid points (at least one cell) cut past
+    delta + z*sigma, right of which G' <= -1e-6*c (_opt_in_utilities), and
+    one lockstep nested-grid refinement of every cell's peaks. Each gamma_bar
+    is then one scalar root (_indifference), no opt-out solve. Memory grows
+    by a few floats per cell, and per block only up to the cut. Loss moments
+    that are not finite and positive raise ValueError, at full coverage too.
     """
     deltas = list(delta_range)
     sigmas = list(sigma_range)
@@ -260,16 +248,20 @@ def coverage_grid(
     ]
 
 
+def gamma_bar(test: ThresholdTest, mu0: float, s0: float, params: VendorParams) -> float:
+    """Risk-aversion level at which opting in and opting out are indifferent.
+
+    The one-cell case of coverage_grid, which defines the result. It scales
+    as 1/mu0 at a fixed ratio s0/mu0.
+    """
+    return coverage_grid([test.delta], [test.sigma], mu0, s0, params)[0].gamma_bar
+
+
 @dataclass(frozen=True)
 class ShapeReport:
     """Sign-change locations of the second finite difference of the waiver cost."""
 
     transitions: tuple  # (x, kind) with kind "concave_to_convex" or "convex_to_concave"
-    grid_step: float
-
-    @property
-    def concave_to_convex(self) -> tuple:
-        return tuple(x for x, kind in self.transitions if kind == "concave_to_convex")
 
 
 def ca_shape_report(
@@ -279,7 +271,7 @@ def ca_shape_report(
     xs = grid.points()
     ca = waiver_cost(test, params, xs)
     d2 = ca[2:] - 2.0 * ca[1:-1] + ca[:-2]
-    zero_tol = 1e-12 * max(1.0, params.R) * grid.step
+    zero_tol = 1e-12 * params.R * grid.step
     signs = np.sign(np.where(np.abs(d2) <= zero_tol, 0.0, d2))
 
     transitions = []
@@ -291,4 +283,4 @@ def ca_shape_report(
             kind = "concave_to_convex" if s > 0 else "convex_to_concave"
             transitions.append((float(xs[i + 1]), kind))
         prev = s
-    return ShapeReport(transitions=tuple(transitions), grid_step=grid.step)
+    return ShapeReport(transitions=tuple(transitions))

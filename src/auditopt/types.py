@@ -35,7 +35,12 @@ def _threshold_pass(x, delta, sigma):
 
 @dataclass(frozen=True)
 class VendorParams:
-    """Economic primitives: revenue R, marginal investment cost c, discount alpha."""
+    """Economic primitives: revenue R, marginal investment cost c, discount alpha.
+
+    R is the money unit: every tolerance on a money value is a multiple of R,
+    so scaling R and c by a power of 2 scales every utility by it exactly and
+    changes no effort, maximizer or verdict.
+    """
 
     R: float
     c: float

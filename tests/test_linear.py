@@ -302,12 +302,12 @@ def test_dynamic_impossibility_high_rosi():
     for b in np.arange(0.0, 4.51, 0.5):
         for b_prime in np.arange(0.0, 4.51, 0.5):
             x_star, u = argmax_largest_tie(
-                lambda x: two_step_value(b_prime, b, P4, x), xs
+                lambda x: two_step_value(b_prime, b, P4, x), xs, tie_tol=1e-9
             )
             if u >= -1e-9:
                 best = max(best, x_star)
     x_static, u_static = argmax_largest_tie(
-        lambda x: two_step_value(3.0, 3.0, P4, x), xs
+        lambda x: two_step_value(3.0, 3.0, P4, x), xs, tie_tol=1e-9
     )
     best = max(best, x_static)
     assert best == pytest.approx(4.0, abs=1e-6)

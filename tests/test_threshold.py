@@ -13,9 +13,9 @@ from auditopt import (
     coverage_grid,
     gamma_bar,
     liability_loss,
-    max_opt_out_utility,
     opt_out_utility,
 )
+from auditopt.threshold import max_opt_out_utility
 
 P4 = VendorParams(R=4.0, c=1.0, alpha=0.5)
 
@@ -184,8 +184,7 @@ def test_gamma_bar_frozen_value_and_indifference():
     from auditopt import optimal_strategy
 
     u_in = optimal_strategy(test, P4).utility
-    u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.0, 1.5), P4)
-    assert u_out == pytest.approx(u_in, abs=1e-6)
+    assert opt_out_oracle(gb, 1.0, 1.5, P4) == pytest.approx(u_in, abs=1e-6)
 
 
 def test_gamma_bar_stops_at_float_resolution():
@@ -206,7 +205,7 @@ def test_gamma_bar_finite_up_to_the_cap():
     assert gb == pytest.approx(gamma_bar(test, 1.0, 1.5, P4) / 1.5e-6, rel=1e-14)
     from auditopt import optimal_strategy
 
-    u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1.5e-6, 2.25e-6), P4)
+    u_out = opt_out_oracle(gb, 1.5e-6, 2.25e-6, P4)
     assert abs(u_out - optimal_strategy(test, P4).utility) <= 1e-12 * P4.R
     assert gamma_bar(test, 8e-7, 1.2e-6, P4) == math.inf
 
@@ -252,16 +251,21 @@ def bisect_to_float_resolution(left_of_root, lo, hi):
 
 
 def opt_out_oracle(gamma, mu0, s0, params):
-    """U_out*(gamma) by bisecting the sign of dU/dx in x itself."""
+    """U_out*(gamma) by bisecting the sign of dU/dx in x itself.
+
+    The loss reads the model only through a = gamma*mu0 and b = gamma*s0, so
+    moments of 1e308 neither overflow nor give NaN.
+    """
     c, R = params.c, params.R
+    a, b = gamma * mu0, gamma * s0
 
     def loss(x):
-        return math.exp(gamma * mu0 / x + 0.5 * (gamma * s0 / x) ** 2)
+        return math.exp(a / x + 0.5 * (b / x) ** 2)
 
     def rising(x):
-        return loss(x) * (gamma * mu0 / x**2 + gamma**2 * s0**2 / x**3) > c
+        return loss(x) * (a / x + (b / x) ** 2) / x > c
 
-    lo = hi = math.sqrt(gamma * mu0 / c)  # dU/dx > 0 below this
+    lo = hi = math.sqrt(a / c)  # dU/dx > 0 below this
     while rising(hi):
         hi *= 2.0
     x = bisect_to_float_resolution(rising, lo, hi)
@@ -299,8 +303,7 @@ def test_gamma_bar_matches_bisection_oracle_and_is_indifferent():
                 lambda g: opt_out_oracle(g, mu0, s0, P4) > u_in, 0.0, hi
             )
             assert abs(gb - oracle) <= 1e-12 * max(1.0, oracle)
-            u_out, _ = max_opt_out_utility(LiabilityModel(gb, mu0, s0), P4)
-            assert abs(u_out - u_in) <= 1e-12 * P4.R
+            assert abs(opt_out_oracle(gb, mu0, s0, P4) - u_in) <= 1e-12 * P4.R
     assert finite > 42
 
 
@@ -486,8 +489,7 @@ def test_gamma_bar_root_below_float_range_is_not_full_coverage():
             continue
         assert gb > 0.0
         assert gb == pytest.approx(ref.gamma_bar * k, rel=0.0, abs=math.ulp(0.0))
-        u_out, _ = max_opt_out_utility(LiabilityModel(gb, 1e308, 1e308), P4)
-        assert abs(u_out - u_in) <= 1e-12 * P4.R
+        assert abs(opt_out_oracle(gb, 1e308, 1e308, P4) - u_in) <= 1e-12 * P4.R
     assert full == 1
     # a root below even the subnormals is reported as the smallest float
     from auditopt.threshold import _indifference
