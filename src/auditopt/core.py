@@ -139,20 +139,15 @@ def _running_max(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class StrategySolution:
-    """Optimal net utility, the maximizer set, and a flat-region flag."""
+    """Optimal net utility max(0, max G), and the refined peaks of G within tie_tol of it."""
 
     utility: float
     maximizers: tuple
     tie_tol: float
-    flat: bool = False  # maximizers form a continuum; endpoints reported
 
     def to_json(self) -> dict:
-        return {
-            "utility": self.utility,
-            "maximizers": list(self.maximizers),
-            "tie_tol": self.tie_tol,
-            "flat": self.flat,
-        }
+        return {"utility": self.utility, "maximizers": list(self.maximizers),
+                "tie_tol": self.tie_tol}
 
 
 def optimal_strategy(
@@ -162,10 +157,10 @@ def optimal_strategy(
 ) -> StrategySolution:
     """Maximize G on [0, x_max] by grid search plus nested-grid refinement.
 
-    Returns every refined local maximum whose value lies within
-    tie_tol = 1e-6 * R of the global maximum. A run of >= 5 consecutive
-    near-optimal grid points is flagged as a flat region, and the first and
-    last near-optimal grid points join the maximizers.
+    The maximizers are every refined grid peak whose value lies within
+    tie_tol = 1e-6 * R of the best, in ascending order, peaks closer than
+    1e-7 counting once. On an exact plateau at the maximum each of its grid
+    points is a grid peak, so each joins the set.
     """
     if grid is None:
         grid = default_grid(params)
@@ -174,8 +169,7 @@ def optimal_strategy(
     tie_tol = 1e-6 * params.R
 
     xs = grid.points()
-    g = g_value(test, params, xs)
-    _, bx, bu = grid_peaks(xs, g[None])
+    _, bx, bu = grid_peaks(xs, g_value(test, params, xs)[None])
     peaks, values = refine_peaks(lambda x: g_value(test, params, x), bx, bu)
     best = float(values.max())
     utility = max(best, 0.0)
@@ -184,17 +178,7 @@ def optimal_strategy(
     for x_star in np.sort(peaks[values >= best - tie_tol]):
         if not maximizers or x_star - maximizers[-1] > 1e-7:
             maximizers.append(float(x_star))
-
-    # flat-region detection: long contiguous stretch of (numerically) exactly
-    # optimal grid points; a smooth peak never produces one at this tolerance
-    near = g >= best - 1e-12 * params.R
-    five_in_a_row = near[:-4] & near[1:-3] & near[2:-2] & near[3:-1] & near[4:]
-    flat = bool(np.count_nonzero(five_in_a_row))
-    if flat:
-        idx = np.nonzero(near)[0]
-        maximizers = sorted(set(maximizers) | {float(xs[idx[0]]), float(xs[idx[-1]])})
-
-    return StrategySolution(utility=utility, maximizers=tuple(maximizers), tie_tol=tie_tol, flat=flat)
+    return StrategySolution(utility=utility, maximizers=tuple(maximizers), tie_tol=tie_tol)
 
 
 def enumerate_schedules(solution: StrategySolution, switch_times=None) -> list[Schedule]:

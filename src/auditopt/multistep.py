@@ -23,9 +23,6 @@ class Audit:
     def test_at(self, step: int) -> TestFunction:
         return self.prefix[step] if step < len(self.prefix) else self.tail
 
-    def to_json(self) -> dict:
-        return {"prefix": [t.to_json() for t in self.prefix], "tail": self.tail.to_json()}
-
     @staticmethod
     def from_json(obj: dict) -> "Audit":
         return Audit(

@@ -9,7 +9,7 @@ from numbers import Integral
 import numpy as np
 
 from .multistep import Audit, _backups
-from .types import GridSpec, Schedule, VendorParams
+from .types import MAX_GRID_POINTS, GridSpec, Schedule, VendorParams
 
 
 def evaluate_schedule(schedule: Schedule, audit: Audit, params: VendorParams) -> float:
@@ -138,13 +138,16 @@ def never_quit_audit_trail(audit: Audit, params: VendorParams, schedule: Schedul
     quitting; non-negativity shows quitting is never strictly optimal. The
     steps run from t = 0 to max(prefix length, last switch time) + 1, past
     which both the schedule and the audit are stationary: one float per step,
-    so memory grows with the last switch time. The values come from backward
-    induction on the 1e-3 grid over [0, max(R/c, levels) + 1].
+    so memory grows with the last switch time, and more than MAX_GRID_POINTS
+    steps raise ValueError before anything is allocated. The values come
+    from backward induction on the 1e-3 grid over [0, max(R/c, levels) + 1].
     """
-    x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
-    xs = GridSpec(x_max=x_cap, step=1e-3).points()
     K = len(audit.prefix)
     last = max((K, *schedule.switch_times)) + 1
+    if last + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"a trail of {last + 1} steps is more than {MAX_GRID_POINTS}")
+    x_cap = max([params.rosi] + list(schedule.levels)) + 1.0
+    xs = GridSpec(x_max=x_cap, step=1e-3).points()
     held = np.searchsorted(schedule.switch_times, np.arange(last), "right")  # level of step t
     x_in = np.append(0.0, np.take(schedule.levels, held))  # effort entering step t
 

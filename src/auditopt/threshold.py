@@ -257,17 +257,14 @@ def gamma_bar(test: ThresholdTest, mu0: float, s0: float, params: VendorParams) 
     return coverage_grid([test.delta], [test.sigma], mu0, s0, params)[0].gamma_bar
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    """Sign-change locations of the second finite difference of the waiver cost."""
+def ca_shape_report(test: TestFunction, params: VendorParams, grid: GridSpec) -> tuple:
+    """Risk-attitude transitions of the waiver cost on the grid, as a tuple of (x, kind).
 
-    transitions: tuple  # (x, kind) with kind "concave_to_convex" or "convex_to_concave"
-
-
-def ca_shape_report(
-    test: TestFunction, params: VendorParams, grid: GridSpec
-) -> ShapeReport:
-    """Scan the waiver cost's curvature to locate risk-attitude transitions."""
+    One pair per sign change of the waiver cost's second finite difference,
+    in ascending x: kind is "concave_to_convex" or "convex_to_concave", and
+    x is the centre of the first difference with the new sign. Differences
+    within 1e-12 * R * step of 0 carry no sign.
+    """
     xs = grid.points()
     ca = waiver_cost(test, params, xs)
     d2 = ca[2:] - 2.0 * ca[1:-1] + ca[:-2]
@@ -283,4 +280,4 @@ def ca_shape_report(
             kind = "concave_to_convex" if s > 0 else "convex_to_concave"
             transitions.append((float(xs[i + 1]), kind))
         prev = s
-    return ShapeReport(transitions=tuple(transitions))
+    return tuple(transitions)

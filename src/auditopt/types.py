@@ -67,9 +67,6 @@ class TestFunction:
     def __call__(self, x):
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
     @staticmethod
     def from_json(obj: dict) -> "TestFunction":
         kind = obj.get("type")
@@ -100,9 +97,6 @@ class ThresholdTest(TestFunction):
     def __call__(self, x):
         return _threshold_pass(x, self.delta, self.sigma)
 
-    def to_json(self) -> dict:
-        return {"type": "threshold", "delta": self.delta, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class LinearTest(TestFunction):
@@ -118,9 +112,6 @@ class LinearTest(TestFunction):
     def __call__(self, x):
         return np.clip(np.asarray(x, dtype=float) - self.b, 0.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {"type": "linear", "b": self.b}
-
 
 @dataclass(frozen=True)
 class ConstantTest(TestFunction):
@@ -134,9 +125,6 @@ class ConstantTest(TestFunction):
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.p)
-
-    def to_json(self) -> dict:
-        return {"type": "constant", "p": self.p}
 
 
 @dataclass(frozen=True)

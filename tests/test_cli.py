@@ -298,6 +298,13 @@ def test_test_config_errors(tmp_path, capsys):
         pytest.param(["coverage", "--delta-range", "0,1", "--sigma-range", "1"],
                      {"mu0": 10**400}, "mu0: expected float, got 1" + "0" * 400,
                      id="mu0-beyond-float"),
+        # strings of the right type whose spec does not parse
+        pytest.param(["coverage", "--delta-range", "0:x:3", "--sigma-range", "1"], {},
+                     "delta_range: cannot parse range '0:x:3'", id="delta-range-count"),
+        pytest.param(["coverage", "--delta-range", "a,b", "--sigma-range", "1"], {},
+                     "delta_range: cannot parse range 'a,b'", id="delta-range-values"),
+        pytest.param(["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1,x"], {},
+                     "schedule: cannot parse '0:1,x'", id="schedule-pair"),
     ],
 )
 def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, config, message):
@@ -310,6 +317,35 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, con
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "config: cannot read {cfg}: "),  # None: the file does not exist
+        ("{", "config: cannot read {cfg}: "),
+        ('[{"R": 4}]', "config: file must hold a flat JSON object\n"),
+    ],
+)
+def test_an_unusable_config_exits_2_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "d.json"
+    rc = main(["design", "--mode", "static", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(cfg=cfg))
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+def test_config_keys_of_other_commands_are_ignored(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 4.0, "c": 1.0, "alpha": 0.5, "delta_range": [0, 1]}))
+    out = tmp_path / "d.json"
+    assert main(["design", "--mode", "static", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["delta_range"] == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -375,6 +411,37 @@ def readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("auditopt ")]
 
 
+def json_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path; the keys of config and of
+    the pass-time histogram vary with the input and are left out."""
+    paths = set()
+    for key, val in doc.items():
+        paths.add(prefix + key)
+        if isinstance(val, dict) and key not in ("config", "pass_time_histogram"):
+            paths |= json_paths(val, prefix + key + ".")
+    return paths
+
+
+SOLUTION = {"version", "config", "solution", "solution.utility", "solution.maximizers",
+            "solution.tie_tol"}
+DESIGN = {"version", "config", "design"} | {
+    "design." + key for key in ("case", "b", "x", "utility", "verified")}
+# the output schema of each file the README examples write: a CSV header or JSON key paths
+README_OUTPUTS = {
+    "sweep.csv": "x,G,CA",
+    "sweep.csv.meta.json": SOLUTION,
+    "opt.json": SOLUTION,
+    "coverage.csv": "delta,sigma,gamma_bar",
+    "design.json": DESIGN,
+    "d2.json": DESIGN | {"design.b_prime"},
+    "d3.json": DESIGN | {"design.b_prime"},
+    "study.csv": "k,measured_error,bound,maximizer",
+    "sim.json": {"version", "config", "analytic", "result"} | {
+        "result." + key for key in ("mean", "std_error", "episodes", "truncated_fraction",
+                                    "pass_time_histogram")},
+}
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_ten_step_audit(tmp_path / "audit.json")
@@ -383,6 +450,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
         assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*README_OUTPUTS, "audit.json"])
+    for name, schema in README_OUTPUTS.items():
+        if name.endswith(".csv"):
+            assert read_csv(tmp_path / name)[1] == schema, name
+        else:
+            assert json_paths(json.loads((tmp_path / name).read_text())) == schema, name
 
 
 def test_approx_csv_and_precondition(tmp_path):

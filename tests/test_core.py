@@ -176,7 +176,14 @@ def test_optimal_strategy_short_grids():
         sol = optimal_strategy(ThresholdTest(1.0, 0.5), VendorParams(2.0, 1.0, 0.5),
                                GridSpec(x_max=3.0, step=step))
         assert sol.maximizers and all(type(m) is float for m in sol.maximizers)
-        assert not sol.flat
+
+
+def test_a_wide_smooth_peak_has_one_maximizer():
+    # the grid points on either side lie within 1e-12 * R of the peak, but below it
+    params = VendorParams(4000.0, 1.0, 0.5)
+    sol = optimal_strategy(ThresholdTest(0.0, 1000.0), params)
+    assert sol.maximizers == (482.76862109285594,)
+    assert sol.utility == g_value(ThresholdTest(0.0, 1000.0), params, sol.maximizers[0])
 
 
 def test_optimal_strategy_threshold_frozen():
@@ -372,12 +379,15 @@ def test_types_reject_non_finite(bad):
             make()
 
 
-def test_test_function_json_round_trip():
+def test_test_function_from_json():
     from auditopt import TestFunction
 
-    for t in (ThresholdTest(1.0, 0.5), LinearTest(2.0), ConstantTest(0.3)):
-        again = TestFunction.from_json(t.to_json())
-        assert again == t
+    for obj, t in (
+        ({"type": "threshold", "delta": 1, "sigma": 0.5}, ThresholdTest(1.0, 0.5)),
+        ({"type": "linear", "b": 2.0}, LinearTest(2.0)),
+        ({"type": "constant", "p": 0.3}, ConstantTest(0.3)),
+    ):
+        assert TestFunction.from_json(obj) == t
     with pytest.raises(ValueError):
         TestFunction.from_json({"type": "mystery"})
 

@@ -22,6 +22,7 @@ from auditopt import (
     optimal_strategy,
     perturb_one_test,
 )
+from auditopt.threshold import _opt_in_utilities
 
 SCALES = (-40, -30, -3, 5, 30, 40)
 DESIGNERS = (design_static, design_dynamic_easier_first, design_dynamic_harder_first)
@@ -58,7 +59,7 @@ def _outcomes(params, test, audit, q):
     money, rest = [], []
     sol = optimal_strategy(test, params)
     money += [sol.utility, sol.tie_tol]
-    rest += [sol.maximizers, sol.flat]
+    rest.append(sol.maximizers)
     for design in DESIGNERS:
         try:
             d = design(params)
@@ -80,7 +81,7 @@ def _outcomes(params, test, audit, q):
         rest.append(type(err))  # its message quotes money values
     else:
         money += [res.delta_value, res.bound]
-    rest.append(ca_shape_report(test, params, GridSpec(x_max=3.0, step=1e-3)).transitions)
+    rest.append(ca_shape_report(test, params, GridSpec(x_max=3.0, step=1e-3)))
     return money, rest
 
 
@@ -93,3 +94,22 @@ def test_every_solver_scales_exactly_with_the_money_unit():
             money_s, rest_s = _outcomes(scaled, test, audit, q)
             assert rest_s == rest, (params, j)
             assert money_s == [s * m for m in money], (params, j)
+
+
+def test_coverage_opt_in_utilities_scale_exactly_with_the_money_unit():
+    """Every opt-in utility of the coverage grid pass scales by 2^j bit for bit.
+
+    gamma_bar is left out: the liability loss exp(.) >= 1 is money in a unit
+    of its own, so scaling R and c alone does not scale the opt-out side.
+    """
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        rosi = 10.0 ** rng.uniform(math.log10(0.3), math.log10(6.0))
+        c = 10.0 ** rng.uniform(-1.0, 1.0)
+        params = VendorParams(rosi * c, c, rng.uniform(0.1, 0.9))
+        tests = [ThresholdTest(rng.uniform(0.0, 3.0), rng.uniform(0.05, 1.5)) for _ in range(12)]
+        u_ins = _opt_in_utilities(tests, params)
+        for j in SCALES:
+            s = 2.0**j
+            scaled = VendorParams(s * params.R, s * params.c, params.alpha)
+            assert _opt_in_utilities(tests, scaled) == [s * u for u in u_ins], (params, j)

@@ -195,9 +195,12 @@ def test_audit_monotone_in_pointwise_dominance():
     assert np.all(u_easy >= u_base - 1e-12)
 
 
-def test_audit_json_round_trip():
+def test_audit_from_json():
+    obj = {
+        "prefix": [{"type": "linear", "b": 1.0}, {"type": "threshold", "delta": 0.5, "sigma": 0.3}],
+        "tail": {"type": "constant", "p": 0.2},
+    }
     audit = Audit(
         prefix=(LinearTest(1.0), ThresholdTest(0.5, 0.3)), tail=ConstantTest(0.2)
     )
-    again = Audit.from_json(audit.to_json())
-    assert again == audit
+    assert Audit.from_json(obj) == audit

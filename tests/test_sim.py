@@ -152,6 +152,13 @@ def test_never_quit_trail_at_a_million_steps():
     assert trail[1] == P4.c * 1.0 + float(np.interp(1.0, grid.points(), u_star))
 
 
+def test_never_quit_trail_refuses_a_late_switch_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="steps is more than"):
+        never_quit_audit_trail(static(LinearTest(1.0)), P4, Schedule((1.0, 2.0), (10**9,)))
+    assert time.perf_counter() - start < 0.1
+
+
 def test_a_stationary_zero_pass_probability_ends_the_steps():
     params = VendorParams(R=4.0, c=1.0, alpha=0.999999)  # horizons of ~10^7 steps
     start = time.perf_counter()

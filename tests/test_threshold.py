@@ -500,23 +500,22 @@ def test_gamma_bar_root_below_float_range_is_not_full_coverage():
 
 
 def test_ca_shape_constant_test_is_flat():
-    report = ca_shape_report(ConstantTest(0.4), P4, GridSpec(5.0, 1e-3))
-    assert report.transitions == ()
+    assert ca_shape_report(ConstantTest(0.4), P4, GridSpec(5.0, 1e-3)) == ()
 
 
 def test_ca_shape_single_transition_frozen():
-    report = ca_shape_report(ThresholdTest(3.0, 1.0), P4, GridSpec(5.0, 1e-3))
-    kinds = [k for _, k in report.transitions]
+    transitions = ca_shape_report(ThresholdTest(3.0, 1.0), P4, GridSpec(5.0, 1e-3))
+    kinds = [k for _, k in transitions]
     assert kinds == ["concave_to_convex"]
-    assert report.transitions[0][0] == pytest.approx(2.467, abs=5e-3)
+    assert transitions[0][0] == pytest.approx(2.467, abs=5e-3)
 
 
 def test_ca_shape_transition_moves_with_noise():
     locs = {}
     for sigma in (0.5, 1.0, 2.0):
-        rep = ca_shape_report(ThresholdTest(3.0, sigma), P4, GridSpec(5.0, 1e-3))
-        assert len(rep.transitions) == 1
-        locs[sigma] = rep.transitions[0][0]
+        transitions = ca_shape_report(ThresholdTest(3.0, sigma), P4, GridSpec(5.0, 1e-3))
+        assert len(transitions) == 1
+        locs[sigma] = transitions[0][0]
     assert locs[0.5] > locs[1.0] > locs[2.0]
 
 
