@@ -180,10 +180,8 @@ def _parse_range(spec: str, name: str) -> list:
 def _parse_schedule(spec: str) -> Schedule:
     """Switch-time/level pairs 't0:x0,t1:x1,...'; t0 must be 0."""
     try:
-        pairs = sorted(
-            (int(p.split(":")[0]), float(p.split(":")[1])) for p in spec.split(",") if p
-        )
-    except (ValueError, IndexError):
+        pairs = sorted((int(t), float(x)) for t, x in (p.split(":") for p in spec.split(",") if p))
+    except ValueError:  # also a pair of more or fewer than two fields
         raise ConfigError(f"schedule: cannot parse {spec!r}")
     if len({t for t, _ in pairs}) < len(pairs):
         raise ConfigError("schedule: a switch time is given twice")

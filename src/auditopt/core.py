@@ -18,6 +18,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = np.array([0, -1, 1])  # grid offsets of a peak, its left and its right neighbour
 _ZOOM = 16  # a refinement pass samples 2*_ZOOM + 1 points and shrinks its step by _ZOOM
 _OFFSETS = np.arange(-_ZOOM, _ZOOM + 1) / _ZOOM
+_PASSES = 6  # refinement passes per peak: the last samples are h0 / _ZOOM**_PASSES apart
 
 
 def g_value(test: TestFunction, params: VendorParams, x):
@@ -28,7 +29,8 @@ def g_value(test: TestFunction, params: VendorParams, x):
     x = np.asarray(x, dtype=float)
     if np.count_nonzero(x < 0):  # np.any costs more on the small arrays of refine_peaks
         raise ValueError("effort x must be >= 0")
-    p = test(x)
+    with np.errstate(over="ignore"):  # a test may overflow z to +-inf, where Phi is exact
+        p = test(x)
     val = -params.c * x + p * params.R / (1.0 - params.alpha + params.alpha * p)
     return float(val) if val.ndim == 0 else val
 
@@ -41,7 +43,8 @@ def waiver_cost(test: TestFunction, params: VendorParams, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("effort x must be >= 0")
-    p = test(x)
+    with np.errstate(over="ignore"):  # a test may overflow z to +-inf, where Phi is exact
+        p = test(x)
     a = params.alpha
     val = (1.0 - a) * (1.0 - p) * params.R / (1.0 - a + a * p)
     return float(val) if val.ndim == 0 else val
@@ -100,31 +103,28 @@ def grid_peaks(xs: np.ndarray, u: np.ndarray):
 
 
 def refine_peaks(f, bx: np.ndarray, bu: np.ndarray):
-    """Refine the peak brackets of grid_peaks by nested grids over their two cells.
+    """Refine the peak brackets of grid_peaks by _PASSES nested grids over their two cells.
 
     Each pass calls f once on an (m, 2*_ZOOM + 1) array, row i sampling
     x_i + h_i*k/_ZOOM for k = -_ZOOM.._ZOOM, clipped to bracket i, and f
-    answers entry by entry. h starts at the larger of the peak's two cells.
-    A sample strictly better than the peak replaces it (the earliest on a
-    tie), so a value never drops, and h shrinks by _ZOOM. Each peak stops on
-    its own once h is at most tol/2 = 5e-10, so a lockstep call gives every
-    peak the result of a call on it alone: 6 passes on a 1e-3 grid. Returns
-    the peaks' positions and values.
+    answers entry by entry. h starts at h0, the larger of the peak's two
+    cells, and shrinks by _ZOOM per pass. A sample strictly better than the
+    peak replaces it (the earliest on a tie), so a value never drops. Every
+    peak gets the same passes, so a lockstep call gives each peak the result
+    of a call on it alone, and scaling the brackets by 2^j scales the peaks
+    by 2^j exactly (GridSpec). Returns the peaks' positions and values.
     """
-    tol = 1e-9  # golden_max's default
     rows = np.arange(len(bx))
     x, u = bx[:, 0], bu[:, 0]
     lo, hi = bx[:, 1:2], bx[:, 2:3]
     h = np.maximum(x - lo[:, 0], hi[:, 0] - x)
-    live = h > tol / 2
-    while np.count_nonzero(live):
+    for _ in range(_PASSES):
         xs = np.minimum(np.maximum(x[:, None] + h[:, None] * _OFFSETS, lo), hi)
         us = f(xs)
         j = np.argmax(us, axis=1)  # the earliest sample on a tie
-        better = live & (us[rows, j] > u)
+        better = us[rows, j] > u
         x, u = np.where(better, xs[rows, j], x), np.where(better, us[rows, j], u)
         h = h / _ZOOM
-        live = h > tol / 2
     return x, u
 
 
@@ -159,8 +159,8 @@ def optimal_strategy(
 
     The maximizers are every refined grid peak whose value lies within
     tie_tol = 1e-6 * R of the best, in ascending order, peaks closer than
-    1e-7 counting once. On an exact plateau at the maximum each of its grid
-    points is a grid peak, so each joins the set.
+    grid.step / 1e4 counting once. On an exact plateau at the maximum each of
+    its grid points is a grid peak, so each joins the set.
     """
     if grid is None:
         grid = default_grid(params)
@@ -176,7 +176,7 @@ def optimal_strategy(
 
     maximizers = []
     for x_star in np.sort(peaks[values >= best - tie_tol]):
-        if not maximizers or x_star - maximizers[-1] > 1e-7:
+        if not maximizers or x_star - maximizers[-1] > grid.step / 1e4:
             maximizers.append(float(x_star))
     return StrategySolution(utility=utility, maximizers=tuple(maximizers), tie_tol=tie_tol)
 

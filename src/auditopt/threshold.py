@@ -263,13 +263,12 @@ def ca_shape_report(test: TestFunction, params: VendorParams, grid: GridSpec) ->
     One pair per sign change of the waiver cost's second finite difference,
     in ascending x: kind is "concave_to_convex" or "convex_to_concave", and
     x is the centre of the first difference with the new sign. Differences
-    within 1e-12 * R * step of 0 carry no sign.
+    within 1e-15 * R of 0, a band in money alone, carry no sign.
     """
     xs = grid.points()
     ca = waiver_cost(test, params, xs)
     d2 = ca[2:] - 2.0 * ca[1:-1] + ca[:-2]
-    zero_tol = 1e-12 * params.R * grid.step
-    signs = np.sign(np.where(np.abs(d2) <= zero_tol, 0.0, d2))
+    signs = np.sign(np.where(np.abs(d2) <= 1e-15 * params.R, 0.0, d2))
 
     transitions = []
     prev = 0.0

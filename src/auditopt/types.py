@@ -129,7 +129,13 @@ class ConstantTest(TestFunction):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform effort grid [0, x_max] with the given step."""
+    """Uniform effort grid [0, x_max] with the given step, the effort unit.
+
+    Every effort tolerance is a multiple of the step or of a peak's first
+    cell, so scaling x_max, step, delta, sigma and schedule levels by 2^j and
+    c by 2^-j changes no utility and scales every effort by 2^j exactly.
+    default_grid's R/c + 1 does not scale: callers that scale pass grids.
+    """
 
     x_max: float
     step: float = 1e-3
@@ -170,14 +176,10 @@ class Schedule:
     def __post_init__(self):
         if len(self.levels) == 0:
             raise ValueError("schedule needs at least one level")
-        prev = 0.0
-        for lv in self.levels:
+        for prev, lv in zip((0.0, *self.levels), self.levels):
             _require_finite(level=lv)
-            if lv < 0:
-                raise ValueError("levels must be non-negative")
-            if lv < prev - 1e-15:
-                raise ValueError("levels must be non-decreasing")
-            prev = lv
+            if lv < prev:
+                raise ValueError("levels must be non-negative and non-decreasing")
         times = self.switch_times
         times = tuple(range(1, len(self.levels)) if times is None else times)
         if len(times) != len(self.levels) - 1 or not all(

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,8 @@ def test_test_config_errors(tmp_path, capsys):
                      "delta_range: cannot parse range 'a,b'", id="delta-range-values"),
         pytest.param(["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1,x"], {},
                      "schedule: cannot parse '0:1,x'", id="schedule-pair"),
+        pytest.param(["simulate", "--test", "constant", "--p", "0.5", "--schedule", "0:1:7"], {},
+                     "schedule: cannot parse '0:1:7'", id="schedule-three-fields"),
     ],
 )
 def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, argv, config, message):
@@ -803,6 +806,27 @@ def test_simulate_overflow_leaves_only_the_error_on_stderr(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: inputs out of range: a result is not finite\n"
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["optimal", "--test", "threshold", "--delta", "1e300", "--sigma", "1e-300"],
+         '"solution": {\n    "maximizers": [\n      0.0\n    ],\n    "tie_tol": 4e-06,\n'
+         '    "utility": 0.0\n  }'),
+        (["coverage", "--delta-range", "1e300", "--sigma-range", "1e-300"],
+         "delta,sigma,gamma_bar\n1e+300,1e-300,0.915893732352\n"),
+    ],
+    ids=["optimal", "coverage"],
+)
+def test_a_threshold_quotient_beyond_the_floats_warns_nothing(tmp_path, argv, expected):
+    # (x - delta)/sigma overflows to -inf, where Phi is exactly 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--R", "4", "--c", "1", "--alpha", "0.5", *argv[1:],
+                     "--out", str(out)]) == 0
+    assert expected in out.read_text()
 
 
 FUZZ_R, FUZZ_C = mostly("1", "2.5", "4"), mostly("0.5", "1")

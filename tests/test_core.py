@@ -123,11 +123,14 @@ def test_refine_peaks_lockstep_matches_single_peak_calls():
     assert us.tolist() == [u[0] for _, u in alone]
     assert np.all(us >= bu[:, 0]) and us[3] == bu[3, 0]  # values never drop
     assert np.all((bx[:, 1] <= xs) & (xs <= bx[:, 2]))
-    assert np.all(np.abs(xs[:3] - 0.3) <= 1e-9)
+    # six passes end within h0 * 16^-6 of the peak, h0 the larger of the two cells
+    h0 = np.maximum(bx[:3, 0] - bx[:3, 1], bx[:3, 2] - bx[:3, 0])
+    assert np.all(np.abs(xs[:3] - 0.3) <= h0 * 16.0**-6)
 
 
 def test_refine_peaks_stops_below_float_spacing():
-    # at 1e13 neighbouring floats are 2e-3 apart, far above the 1e-9 tolerance
+    # at 1e13 neighbouring floats are 2e-3 apart, and six passes over the
+    # 5e6 cells end 0.3 apart
     f = lambda x: -((x - 1.00000001e13) ** 2)
     bx = np.array([[1e13 + 5e6, 1e13, 1e13 + 1e7]])
     xs, us = refine_peaks(f, bx, f(bx))
@@ -360,6 +363,9 @@ def test_schedule_validation():
         Schedule(levels=(1.0, 0.5))
     with pytest.raises(ValueError):
         Schedule(levels=(-1.0,))
+    with pytest.raises(ValueError):  # one ulp down is a decrease
+        Schedule(levels=(1.0, 0.9999999999999999))
+    Schedule(levels=(1.0, 1.0))
     s = Schedule(levels=(0.5, 1.0))
     assert s.level_at(0) == 0.5 and s.level_at(7) == 1.0
 
