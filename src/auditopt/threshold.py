@@ -1,7 +1,8 @@
 """Participation analysis for the normal-noise threshold audit.
 
 Risk-averse opt-out utility, the participation boundary gamma_bar, coverage
-sweeps over (delta, sigma), and the shape analysis of the waiver cost.
+sweeps over (delta, sigma), in which each cell is three scalar roots and no
+effort grid, and the shape analysis of the waiver cost.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import g_value, grid_peaks, refine_peaks, waiver_cost
-from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, default_grid
-from .types import _require_finite, _threshold_pass
+from .core import g_value, waiver_cost
+from .types import GridSpec, TestFunction, ThresholdTest, VendorParams, _require_finite
 
 _EXP_OVERFLOW = 700.0  # exp argument beyond this maps to the +inf sentinel
 _GAMMA_CAP = 1e6  # gamma_bar reports +inf beyond this risk aversion
-_BLOCK_POINTS = 2**15  # grid points per block of cells in the opt-in grid pass
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -127,42 +128,47 @@ def _newton(f, lo: float, hi: float, rel_tol: float) -> float:
     return t
 
 
-def _opt_in_utilities(tests: list, params: VendorParams) -> list:
-    """Opt-in utility max(0, max_x G(x)) of every threshold test, as a list of floats.
+def _opt_in_utility(delta: float, sigma: float, params: VendorParams) -> float:
+    """Opt-in utility max(0, max_x G(x)) of the threshold test (delta, sigma).
 
-    Each value equals optimal_strategy(test, params).utility bit for bit. G
-    is evaluated on the default grid for blocks of tests at once, one row
-    per test and at most _BLOCK_POINTS grid points per block (at least one
-    row); a block keeps only its peak brackets, and stops two grid steps past
-    its largest cut delta + z*sigma, so the block size bounds memory only up
-    to the cut. There p >= 1/2 and phi(z) <= phi(z*), so G' <= -c + R(1-alpha)
-    phi(z)/(sigma(1-alpha/2)^2) <= -1e-6*c: a peak cut off, or the window's
-    last point, refines to no more than a kept peak. Every peak of every test
-    is then refined by nested grids in one lockstep refine_peaks call.
+    With z = (x - delta)/sigma, D = 1 - alpha + alpha*Phi(z) and r = phi(z)/D,
+    G' > 0 exactly when h(z) = log phi(z) - 2*log D exceeds k = log(c*sigma/R)
+    - log(1 - alpha). h has one mode: h'(z) = -z - 2*alpha*r runs from +inf
+    (D >= 1 - alpha) to -inf, and at its zeros r' = -z*r - alpha*r^2 =
+    alpha*r^2, so h'' = -1 - 2*alpha^2*r^2 < 0 and there is only one. So on
+    x >= 0, G peaks at 0 or at x_r = delta + sigma*z_r, z_r the root of h = k
+    right of the mode, which counts only in (0, R/c), as G(x) <= R - c*x; G
+    is also read at the next float, where p jumps to 1 if sigma is below the
+    float spacing at x_r. Safeguarded Newton finds the mode in [-sqrt(1 +
+    2*max(0, log(alpha/(1 - alpha)))), 0], where h' changes sign, and z_r in
+    [mode, 2*b - mode], from its midpoint b = sqrt(2*max(0, C - k)) >= z_r:
+    h(z) <= C - z^2/2 on z >= 0 with C = -log sqrt(2*pi) - 2*log(1 -
+    alpha/2). Each stops at a step of 1e-12*max(1, |z|), and the value lies
+    within 1e-14*R of optimal_strategy(test, params).utility. Scaling (R, c)
+    or (delta, sigma, 1/c) by 2^j keeps c*sigma/R, and so every root.
     """
-    deltas = np.array([t.delta for t in tests], dtype=float)
-    sigmas = np.array([t.sigma for t in tests], dtype=float)
-    grid = default_grid(params)
-    xs = grid.points()
-    rows = max(1, _BLOCK_POINTS // len(xs))
     a = params.alpha
-    with np.errstate(divide="ignore", over="ignore"):  # z* = inf for a vanishing sigma
-        phi_cut = math.sqrt(2.0 * math.pi) * params.c * (1.0 - a / 2) ** 2 * (1.0 - 1e-6) * sigmas
-        z_cut = np.sqrt(np.maximum(0.0, -2.0 * np.log(phi_cut / (params.R * (1.0 - a)))))
-        cuts = np.minimum(np.ceil((deltas + z_cut * sigmas) / grid.step) + 2, len(xs) - 1)
-    blocks = []
-    for first in range(0, len(deltas), rows):
-        d, s = deltas[first:first + rows, None], sigmas[first:first + rows, None]
-        window = xs[:int(max(cuts[first:first + rows].max(), 1.0)) + 1]
-        row, bx, bu = grid_peaks(window, g_value(lambda x: _threshold_pass(x, d, s), params, window))
-        blocks.append((row + first, bx, bu))
-    cell, bx, bu = (np.concatenate(parts) for parts in zip(*blocks))
-    d, s = deltas[cell, None], sigmas[cell, None]  # one row of samples per peak
-    f = lambda x: g_value(lambda y: _threshold_pass(y, d, s), params, x)
-    _, values = refine_peaks(f, bx, bu)
-    # cell ascends, and every cell has a peak (both window ends are peaks)
-    best = np.maximum.reduceat(values, np.searchsorted(cell, np.arange(len(deltas))))
-    return np.maximum(best, 0.0).tolist()
+    cs = params.c * sigma
+    if all(sys.float_info.min <= v < math.inf for v in (cs, cs / params.R)):
+        k = math.log(cs / params.R) - math.log1p(-a)
+    else:  # c*sigma or c*sigma/R leaves the normal floats
+        k = math.log(params.c) + math.log(sigma) - math.log(params.R) - math.log1p(-a)
+
+    def h(z: float) -> tuple[float, float, float]:  # h(z) - k, h'(z) and h''(z)
+        log_d = math.log(1.0 - a + a * 0.5 * math.erfc(-z / _SQRT2))
+        log_phi = -0.5 * z * z - _LOG_SQRT_2PI
+        r = math.exp(log_phi - log_d)
+        return log_phi - 2.0 * log_d - k, -z - 2.0 * a * r, -1.0 + 2.0 * a * r * (z + a * r)
+
+    lo = -math.sqrt(1.0 + 2.0 * max(0.0, math.log(a) - math.log1p(-a)))
+    mode = _newton(lambda z: h(z)[1:], lo, 0.0, 1e-12)
+    xs = [0.0]
+    if h(mode)[0] > 0.0:
+        b = math.sqrt(2.0 * max(0.0, -_LOG_SQRT_2PI - 2.0 * math.log1p(-0.5 * a) - k))
+        x_r = delta + sigma * _newton(lambda z: h(z)[:2], mode, 2.0 * b - mode, 1e-12)
+        if 0.0 < x_r < params.rosi:
+            xs += [x_r, math.nextafter(x_r, math.inf)]
+    return max(0.0, float(np.max(g_value(ThresholdTest(delta, sigma), params, xs))))
 
 
 def _indifference(u_in: float, mu0: float, s0: float, params: VendorParams) -> float:
@@ -226,33 +232,32 @@ def coverage_grid(
     are indifferent: 0 when the audit already beats the best opt-out utility
     (full coverage), +inf above 1e6 (the vendor practically never
     participates), else the root of U_out*(gamma) = U_in* to float
-    resolution; a positive root below the smallest float reads 5e-324. Every
-    U_in* = optimal_strategy(test, params).utility comes from one grid pass,
-    in blocks of at most 2^15 grid points (at least one cell) cut past
-    delta + z*sigma, right of which G' <= -1e-6*c (_opt_in_utilities), and
-    one lockstep nested-grid refinement of every cell's peaks. Each gamma_bar
-    is then one scalar root (_indifference), no opt-out solve. Memory grows
-    by a few floats per cell, and per block only up to the cut. Loss moments
-    that are not finite and positive raise ValueError, at full coverage too.
+    resolution; a positive root below the smallest float reads 5e-324. Each
+    U_in* is two scalar roots with no effort grid (_opt_in_utility), within
+    1e-14*R of optimal_strategy(test, params).utility, and each gamma_bar one
+    more (_indifference), no opt-out solve; cells are solved one at a time.
+    A delta that is not finite, or a sigma or loss moment that is not finite
+    and positive, raises ValueError before any cell is solved.
     """
     deltas = list(delta_range)
     sigmas = list(sigma_range)
     if not deltas or not sigmas:
         raise ValueError("delta and sigma ranges must be non-empty")
     LiabilityModel(0.0, mu0, s0)  # rejects bad loss moments before any cell is solved
-    tests = [ThresholdTest(delta=d, sigma=s) for d in deltas for s in sigmas]
-    u_ins = _opt_in_utilities(tests, params)
+    if not all(map(math.isfinite, deltas)) or not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError("every delta must be finite and every sigma finite and positive")
     return [
-        CoverageCell(t.delta, t.sigma, _indifference(u_in, mu0, s0, params))
-        for t, u_in in zip(tests, u_ins)
+        CoverageCell(d, s, _indifference(_opt_in_utility(d, s, params), mu0, s0, params))
+        for d in deltas for s in sigmas
     ]
 
 
 def gamma_bar(test: ThresholdTest, mu0: float, s0: float, params: VendorParams) -> float:
     """Risk-aversion level at which opting in and opting out are indifferent.
 
-    The one-cell case of coverage_grid, which defines the result. It scales
-    as 1/mu0 at a fixed ratio s0/mu0.
+    The one-cell case of coverage_grid, which defines the result: its opt-in
+    utility lies within 1e-14*R of optimal_strategy(test, params).utility.
+    It scales as 1/mu0 at a fixed ratio s0/mu0.
     """
     return coverage_grid([test.delta], [test.sigma], mu0, s0, params)[0].gamma_bar
 

@@ -28,11 +28,6 @@ def _ndtr():
     return ndtr
 
 
-def _threshold_pass(x, delta, sigma):
-    """Phi((x - delta) / sigma), broadcast over x, delta and sigma."""
-    return _ndtr()((np.asarray(x, dtype=float) - delta) / sigma)
-
-
 @dataclass(frozen=True)
 class VendorParams:
     """Economic primitives: revenue R, marginal investment cost c, discount alpha.
@@ -95,7 +90,7 @@ class ThresholdTest(TestFunction):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def __call__(self, x):
-        return _threshold_pass(x, self.delta, self.sigma)
+        return _ndtr()((np.asarray(x, dtype=float) - self.delta) / self.sigma)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,27 @@ def test_coverage_range_parsing(tmp_path):
     assert float(rows[0][2]) <= float(rows[1][2]) + 1e-9
 
 
+def test_coverage_needs_no_effort_grid(tmp_path):
+    # R/c = 1e5 would ask for a 1e8-point effort grid; coverage builds none
+    out = tmp_path / "cov.csv"
+    rc = main(["coverage", "--R", "1e5", "--c", "1", "--alpha", "0.5",
+               "--delta-range", "0:3:13", "--sigma-range", "0.1:3:13", "--out", str(out)])
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    assert header == "delta,sigma,gamma_bar" and len(rows) == 169
+    assert all(float(r[2]) >= 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("ranges", [["--delta-range", "0,nan"], ["--delta-range", "0,inf"]])
+def test_coverage_refuses_a_delta_that_is_not_finite(tmp_path, capsys, ranges):
+    out = tmp_path / "cov.csv"
+    rc = main(["coverage", "--R", "4", "--c", "1", "--alpha", "0.5", *ranges,
+               "--sigma-range", "1", "--out", str(out)])
+    assert rc == 2
+    assert "delta must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_modes(tmp_path):
     out = tmp_path / "design.json"
     rc = main(

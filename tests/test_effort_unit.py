@@ -20,6 +20,7 @@ from auditopt import (
     optimal_strategy,
     value_iteration_oracle,
 )
+from auditopt.threshold import _opt_in_utility
 
 SCALES = (-6, 6)
 
@@ -34,13 +35,18 @@ def _scale(test, s):
 
 
 def _outcomes(params, test, prefix, levels, grid):
-    """Every utility and value array, every effort, and every transition kind."""
+    """Every utility and value array, every effort, and every transition kind.
+
+    A threshold test adds its coverage opt-in utility, which uses no grid.
+    """
     sol = optimal_strategy(test, params, grid)
     audit = Audit(prefix, test)
     vf = backward_induction(audit, params, grid)
     transitions = ca_shape_report(test, params, grid)
     money = [sol.utility, sol.tie_tol, evaluate_schedule(Schedule(levels), audit, params),
              value_iteration_oracle(test, params, grid).values.tolist(), vf.values.tolist()]
+    if isinstance(test, ThresholdTest):
+        money.append(_opt_in_utility(test.delta, test.sigma, params))
     efforts = [*sol.maximizers, vf.maximizer, *(x for x, _ in transitions)]
     return money, efforts, [kind for _, kind in transitions]
 

@@ -22,7 +22,7 @@ from auditopt import (
     optimal_strategy,
     perturb_one_test,
 )
-from auditopt.threshold import _opt_in_utilities
+from auditopt.threshold import _opt_in_utility
 
 SCALES = (-40, -30, -3, 5, 30, 40)
 DESIGNERS = (design_static, design_dynamic_easier_first, design_dynamic_harder_first)
@@ -97,7 +97,7 @@ def test_every_solver_scales_exactly_with_the_money_unit():
 
 
 def test_coverage_opt_in_utilities_scale_exactly_with_the_money_unit():
-    """Every opt-in utility of the coverage grid pass scales by 2^j bit for bit.
+    """Every opt-in utility of a coverage cell scales by 2^j bit for bit.
 
     gamma_bar is left out: the liability loss exp(.) >= 1 is money in a unit
     of its own, so scaling R and c alone does not scale the opt-out side.
@@ -107,9 +107,10 @@ def test_coverage_opt_in_utilities_scale_exactly_with_the_money_unit():
         rosi = 10.0 ** rng.uniform(math.log10(0.3), math.log10(6.0))
         c = 10.0 ** rng.uniform(-1.0, 1.0)
         params = VendorParams(rosi * c, c, rng.uniform(0.1, 0.9))
-        tests = [ThresholdTest(rng.uniform(0.0, 3.0), rng.uniform(0.05, 1.5)) for _ in range(12)]
-        u_ins = _opt_in_utilities(tests, params)
+        cells = [(rng.uniform(0.0, 3.0), rng.uniform(0.05, 1.5)) for _ in range(12)]
+        u_ins = [_opt_in_utility(delta, sigma, params) for delta, sigma in cells]
         for j in SCALES:
             s = 2.0**j
             scaled = VendorParams(s * params.R, s * params.c, params.alpha)
-            assert _opt_in_utilities(tests, scaled) == [s * u for u in u_ins], (params, j)
+            u_scaled = [_opt_in_utility(delta, sigma, scaled) for delta, sigma in cells]
+            assert u_scaled == [s * u for u in u_ins], (params, j)

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auditopt import (
     ConstantTest,
@@ -313,24 +315,31 @@ def test_gamma_bar_opt_out_solves_per_cell(monkeypatch):
     def no_opt_out_solve(model, params):
         raise AssertionError("the sweep solved an opt-out problem")
 
-    evaluations = []
-    newton = threshold._newton
+    cells = []  # per cell, the evaluations of each of its roots
+    newton, opt_in_utility = threshold._newton, threshold._opt_in_utility
 
     def counted_newton(f, lo, hi, rel_tol):
         def counted(t):
-            evaluations[-1] += 1
+            cells[-1][-1] += 1
             return f(t)
 
-        evaluations.append(0)
+        cells[-1].append(0)
         return newton(counted, lo, hi, rel_tol)
+
+    def opt_in_cell(delta, sigma, params):
+        cells.append([])
+        return opt_in_utility(delta, sigma, params)
 
     monkeypatch.setattr(threshold, "max_opt_out_utility", no_opt_out_solve)
     monkeypatch.setattr(threshold, "_newton", counted_newton)
+    monkeypatch.setattr(threshold, "_opt_in_utility", opt_in_cell)
     deltas, sigmas = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 3.0, 7)
-    cells = coverage_grid(deltas, sigmas, 1.0, 1.5, P4)
-    # one root per cell short of full coverage, each of a few evaluations
-    assert len(evaluations) == sum(c.gamma_bar > 0.0 for c in cells) > 40
-    assert max(evaluations) <= 8
+    coverage_grid(deltas, sigmas, 1.0, 1.5, P4)
+    # the mode, the opt-in peak and the indifference root, each of a few evaluations
+    assert len(cells) == 49
+    assert max(len(roots) for roots in cells) <= 3
+    assert sum(len(roots) for roots in cells) > 120
+    assert max(max(roots) for roots in cells) <= 8
 
 
 def test_gamma_bar_monotone_in_threshold():
@@ -363,14 +372,18 @@ def test_coverage_grid_monotone_in_delta():
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+OPT_IN_TOL = 1e-14  # times R: the opt-in root against the refined grid of optimal_strategy
+
+
 def assert_sweep_matches_cells(deltas, sigmas, mu0, s0, params):
-    """coverage_grid and its stacked opt-in utilities against cell-by-cell solves, bit for bit."""
+    """Opt-in utilities against optimal_strategy, and coverage_grid against gamma_bar."""
     from auditopt import optimal_strategy
-    from auditopt.threshold import _opt_in_utilities
+    from auditopt.threshold import _opt_in_utility
 
     tests = [ThresholdTest(float(d), float(s)) for d in deltas for s in sigmas]
-    stacked = _opt_in_utilities(tests, params)
-    assert stacked == [optimal_strategy(t, params).utility for t in tests]
+    for t in tests:
+        gap = _opt_in_utility(t.delta, t.sigma, params) - optimal_strategy(t, params).utility
+        assert abs(gap) <= OPT_IN_TOL * params.R, (t, params, gap)
     cells = coverage_grid(deltas, sigmas, mu0, s0, params)
     assert [c.gamma_bar for c in cells] == [gamma_bar(t, mu0, s0, params) for t in tests]
 
@@ -378,19 +391,6 @@ def assert_sweep_matches_cells(deltas, sigmas, mu0, s0, params):
 def test_coverage_grid_matches_cell_by_cell_solves():
     deltas, sigmas = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 3.0, 7)
     assert_sweep_matches_cells(deltas, sigmas, 1.0, 1.5, P4)
-
-
-def test_coverage_grid_across_block_boundaries():
-    from auditopt import default_grid
-    from auditopt.threshold import _BLOCK_POINTS
-
-    # 5,001 grid points: 6 cells to a block, so 15 cells end in a partial block
-    assert _BLOCK_POINTS // len(default_grid(P4).points()) == 6
-    assert_sweep_matches_cells([0.5, 1.5, 2.5, 3.0, 3.5], [0.3, 1.0, 2.0], 1.0, 1.5, P4)
-    # 41,001 grid points: one row is larger than a block
-    p40 = VendorParams(R=40.0, c=1.0, alpha=0.5)
-    assert len(default_grid(p40).points()) > _BLOCK_POINTS
-    assert_sweep_matches_cells([0.0, 5.0, 20.0], [0.5, 4.0], 1.0, 1.5, p40)
 
 
 def test_coverage_grid_memory_does_not_grow_with_cells():
@@ -405,24 +405,28 @@ def test_coverage_grid_memory_does_not_grow_with_cells():
             tracemalloc.stop()
 
     coverage_grid([3.0], [1.0], 1.0, 1.5, P4)  # imports scipy.special outside the traced peaks
-    # the reference is the row of the widest grid window, as the cut sizes
-    # each block's window by its cells' largest delta + z*sigma
-    assert peak(np.linspace(0.0, 3.0, 10)) <= 1.5 * peak([3.0])
+    # each cell keeps its CoverageCell, about 140 bytes; one row of the
+    # 5,001-point effort grid would be 40,008
+    per_cell = (peak(np.linspace(0.0, 3.0, 100)) - peak([3.0])) / (99 * 6)
+    assert per_cell <= 5001 * 8 / 40
 
 
 def _random_sweeps(seed, sets=20, side=10):
-    """Seeded (params, deltas, sigmas): alpha 0.05-0.95, R/c 0.3-20, sigma 1e-2 to 5.
+    """Seeded (params, deltas, sigmas): R/c 0.1-100, sigma 1e-3 to 30, alpha
+    1e-9, 1 - 1e-9, within 1e-9 to 0.1 of 0 or of 1, or uniform, in turn.
 
     Each set has a delta below 0 and one beyond R/c + 1.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(sets):
-        rosi = 10.0 ** rng.uniform(math.log10(0.3), math.log10(20.0))
+    alphas = (lambda: 1e-9, lambda: 1.0 - 1e-9, lambda: 10.0 ** rng.uniform(-9.0, -1.0),
+              lambda: 1.0 - 10.0 ** rng.uniform(-9.0, -1.0), lambda: rng.uniform(0.01, 0.99))
+    for i in range(sets):
+        rosi = 10.0 ** rng.uniform(-1.0, 2.0)
         c = 10.0 ** rng.uniform(-1.0, 1.0)
-        params = VendorParams(R=rosi * c, c=c, alpha=rng.uniform(0.05, 0.95))
+        params = VendorParams(R=rosi * c, c=c, alpha=alphas[i % len(alphas)]())
         deltas = rng.uniform(-3.0, rosi + 4.0, side)
         deltas[:2] = -rng.uniform(0.0, 3.0), rosi + 1.0 + rng.uniform(0.0, 3.0)
-        sigmas = 10.0 ** rng.uniform(-2.0, math.log10(5.0), side)
+        sigmas = 10.0 ** rng.uniform(-3.0, math.log10(30.0), side)
         yield params, deltas, sigmas
 
 
@@ -434,39 +438,71 @@ def test_coverage_grid_cut_matches_cell_by_cell_solves_on_random_cells():
     assert cells >= 2000
 
 
-def test_net_utility_falls_right_of_the_cut():
-    # the premise of the cut: for x >= delta + z*sigma, p >= 1/2 and
-    # G' <= -c + R(1-alpha)phi(z)/(sigma(1-alpha/2)^2) <= -1e-6*c
-    from auditopt import default_grid, g_value
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from([1e-9, 1.0 - 1e-9]), st.floats(1e-9, 1.0 - 1e-9)),
+    log_sigma=st.floats(-3.0, math.log10(30.0)),
+    delta=st.floats(-3.0, 30.0),
+    log_rosi=st.floats(-1.0, 2.0),
+    log_c=st.floats(-1.0, 1.0),
+)
+def test_net_utility_has_at_most_one_interior_peak(alpha, log_sigma, delta, log_rosi, log_c):
+    # the premise of _opt_in_utility, on a dense grid and with no root: the
+    # differences of G are negative, positive, then negative, each run
+    # possibly empty, so they change sign from + to - at most once
+    from auditopt import g_value
 
-    for params, deltas, sigmas in _random_sweeps(23):
-        grid = default_grid(params)
-        xs = grid.points()
-        a = params.alpha
-        for d in deltas:
-            for s in sigmas:
-                bound = math.sqrt(2.0 * math.pi) * s * params.c * (1.0 - a / 2) ** 2 * (1.0 - 1e-6)
-                z = math.sqrt(max(0.0, -2.0 * math.log(bound / (params.R * (1.0 - a)))))
-                start = min(max(math.ceil((d + z * s) / grid.step), 0), len(xs) - 1)
-                g = g_value(ThresholdTest(float(d), float(s)), params, xs[start:])
-                assert np.all(np.diff(g) < 0.0)
+    c, sigma = 10.0**log_c, 10.0**log_sigma
+    params = VendorParams(R=10.0**log_rosi * c, c=c, alpha=alpha)
+    xs = delta + sigma * np.linspace(-12.0, 12.0, 4801)  # outside, p is 0 or 1 and G falls
+    diffs = np.diff(g_value(ThresholdTest(delta, sigma), params, xs[xs >= 0.0]))
+    signs = np.sign(diffs[np.abs(diffs) > 1e-14 * params.R])  # rounding in G is a few ulps of R
+    runs = signs[np.flatnonzero(np.diff(signs, prepend=0.0))]  # the sign of each run
+    assert "".join("+" if v > 0 else "-" for v in runs) in ("", "-", "+", "-+", "+-", "-+-")
 
 
-def test_coverage_grid_pass_stops_at_the_cut(monkeypatch):
-    import auditopt.threshold as threshold
+@pytest.mark.parametrize(
+    "deltas, sigmas",
+    [([0.0, 1.0, math.nan], [1.0]), ([0.0, math.inf], [1.0]), ([0.0, 1.0], [1.0, 0.0]),
+     ([0.0], [1.0, -1.0]), ([1.0], [math.nan])],
+)
+def test_coverage_grid_refuses_a_bad_cell_before_solving_any(monkeypatch, deltas, sigmas):
+    from auditopt import threshold
 
-    points = []
-    g_value = threshold.g_value
+    def no_solve(*args):
+        raise AssertionError("a cell was solved")
 
-    def counting(test, params, x):
-        value = g_value(test, params, x)
-        if np.ndim(x) == 1:  # the grid pass; refine_peaks passes 2-D samples
-            points.append(np.size(value))
-        return value
+    monkeypatch.setattr(threshold, "_opt_in_utility", no_solve)
+    with pytest.raises(ValueError):
+        coverage_grid(deltas, sigmas, 1.0, 1.5, P4)
 
-    monkeypatch.setattr(threshold, "g_value", counting)
-    coverage_grid(np.linspace(0.0, 3.0, 13), np.linspace(0.1, 3.0, 13), 1.0, 1.5, P4)
-    assert sum(points) <= 0.5 * 169 * 5001
+
+def test_opt_in_utility_where_sigma_is_below_the_float_spacing_of_delta():
+    # delta + sigma*z_r rounds to delta, where p = 1/2; at the next float p is 1
+    from auditopt import optimal_strategy
+    from auditopt.threshold import _opt_in_utility
+
+    u_in = _opt_in_utility(1.0, 1e-20, P4)
+    assert u_in == P4.R - P4.c * math.nextafter(1.0, 2.0) == 3.0
+    assert u_in == optimal_strategy(ThresholdTest(1.0, 1e-20), P4).utility
+
+
+@pytest.mark.parametrize(
+    "R, c, sigma, expected",
+    [
+        (1e308, 5e-324, 5e-324, 1e308),  # c*sigma underflows: a free, certain pass
+        (5e-324, 1e308, 1e308, 0.0),  # c*sigma overflows: G(0), p = 1/2, rounds to 0
+        (1e-300, 1e300, 1.0, 1e-300 / 1.5),  # c*sigma/R overflows: G(0) at p = 1/2
+        (1e300, 1e-300, 1.0, 1e300),  # c*sigma/R underflows
+    ],
+)
+def test_opt_in_utility_where_c_sigma_over_r_leaves_the_floats(R, c, sigma, expected):
+    from auditopt.threshold import _opt_in_utility
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _opt_in_utility(0.0, sigma, VendorParams(R, c, 0.5)) == pytest.approx(
+            expected, rel=1e-15, abs=0.0)
 
 
 def test_gamma_bar_root_below_float_range_is_not_full_coverage():
